@@ -97,6 +97,17 @@ class PollPort
      * driver's per-frame bookkeeping; an empty poll pays one ring
      * probe. Each packet's e2e latency span (wire arrival -> return
      * from this burst) is recorded here. Returns frames harvested.
+     *
+     * Parking contract (DESIGN.md §9): a caller that re-enters in the
+     * same dispatch as an empty return, doing nothing observable in
+     * between (a busy-poll loop), may have its following empty polls
+     * fast-forwarded. The port parks on the poll grid holding the core
+     * mutex, and the call returns 0 at exactly the grid instant the
+     * per-poll loop would have found work (or handed the mutex to a
+     * waiter). Skipped polls are charged in bulk — polls(),
+     * emptyPolls(), Core::busyTime() and the zero buckets of the burst
+     * and occupancy histograms — before any read of those counters
+     * and at the end of every run slice.
      */
     Task<int> rxBurst(RxPacket* out, int max);
 
@@ -125,8 +136,18 @@ class PollPort
     void freePacket(const RxPacket& p);
 
     // ------------------------------------------------------- statistics
-    std::uint64_t polls() const { return polls_; }
-    std::uint64_t emptyPolls() const { return emptyPolls_; }
+    std::uint64_t
+    polls() const
+    {
+        settle();
+        return polls_;
+    }
+    std::uint64_t
+    emptyPolls() const
+    {
+        settle();
+        return emptyPolls_;
+    }
     std::uint64_t rxFrames() const { return rxFrames_.total(); }
     std::uint64_t rxBytes() const { return rxBytes_.total(); }
     std::uint64_t txFrames() const { return txFrames_.total(); }
@@ -136,10 +157,24 @@ class PollPort
     /** Ring refills deferred because the pool was dry. */
     std::uint64_t pendingRefill() const { return pendingRefill_; }
 
+    ~PollPort();
+    PollPort(const PollPort&) = delete;
+    PollPort& operator=(const PollPort&) = delete;
+
   private:
     friend class PollPlane;
+    struct Park;
 
     PollPort(PollPlane& plane, int idx, topo::Core& core, int qid);
+
+    /** Charge the polls skipped while parked so far. */
+    void settle() const;
+
+    /** Resume a parked poller at its next grid instant. */
+    void wake();
+
+    static void settleHook(void* port);
+    static void wakeHook(void* port);
 
     /** Read one device-written CQE line: LLC hit, cache-to-cache
      *  forward, or DRAM miss behind the device's posted writes — the
@@ -153,8 +188,12 @@ class PollPort
 
     std::unordered_map<nic::FiveTuple, std::uint64_t> txSeq_;
     std::uint64_t pendingRefill_ = 0;
-    std::uint64_t polls_ = 0;
-    std::uint64_t emptyPolls_ = 0;
+    mutable std::uint64_t polls_ = 0;
+    mutable std::uint64_t emptyPolls_ = 0;
+    sim::GridPark park_;                     ///< Valid while parked.
+    mutable std::uint64_t settledSteps_ = 0; ///< Parked polls charged.
+    /// Dispatch that last returned an empty burst (eventsProcessed()).
+    std::uint64_t idleDispatch_ = ~std::uint64_t{0};
     // Burst-hot frame/byte counters shard per domain node
     // (obs::ShardedCounter); readers fold the exact total.
     obs::ShardedCounter rxFrames_;
@@ -220,6 +259,7 @@ class PollPlane : public nic::NicSink, public steer::SteerablePlane
     void pfStateChanged(int, bool) override {} // monitor owns verdicts
     void frameLost(const nic::FiveTuple& flow,
                    std::uint32_t bytes) override;
+    void rxPolled(int qid) override;
 
     // ------------------------------------------------- SteerablePlane
     const char* planeName() const override { return "bypass"; }

@@ -213,6 +213,8 @@ NicDevice::rxPath(Frame f)
     }
     q.rxFrames.add();
     q.rxCq.tryPush(c); // capacity == ring credits: cannot fail
+    if (q.polled && sink_ != nullptr)
+        sink_->rxPolled(q.id);
     maybeRaiseRxIrq(q);
 }
 

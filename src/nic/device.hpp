@@ -67,6 +67,10 @@ class NicSink
     virtual void pfStateChanged(int pf_idx, bool up) { (void)pf_idx;
                                                        (void)up; }
 
+    /** A completion landed on polled queue @p qid, which raises no
+     *  interrupt: a busy-poller parked on its empty ring wakes here. */
+    virtual void rxPolled(int qid) { (void)qid; }
+
     /** A frame of @p flow was lost inside the device (dead-PF Rx drop
      *  or aborted Tx descriptor). Drives the stack's retry/reclaim
      *  accounting. */

@@ -32,6 +32,31 @@ Histogram::record(double v)
     ++buckets_.at(std::clamp(idx, 0, kBuckets - 1));
 }
 
+void
+Histogram::record(double v, std::uint64_t n)
+{
+    if (n == 0)
+        return;
+    if (count_ == 0) {
+        min_ = max_ = v;
+    } else {
+        min_ = std::min(min_, v);
+        max_ = std::max(max_, v);
+    }
+    count_ += n;
+    // Repeated addition, not v * n: the sum must round exactly as n
+    // single records would. Adding zero n times equals adding it once.
+    for (std::uint64_t i = 0; i < (v == 0.0 ? 1 : n); ++i)
+        sum_ += v;
+    if (v < 1.0) {
+        zero_ += n;
+        return;
+    }
+    const int idx = static_cast<int>(std::floor(std::log2(v) *
+                                                kSubBuckets));
+    buckets_.at(std::clamp(idx, 0, kBuckets - 1)) += n;
+}
+
 double
 Histogram::bucketUpper(int i)
 {

@@ -86,6 +86,9 @@ class Histogram
 
     void record(double v);
 
+    /** Record @p v @p n times: identical to n single records. */
+    void record(double v, std::uint64_t n);
+
     std::uint64_t count() const { return count_; }
     double sum() const { return sum_; }
     double min() const { return count_ > 0 ? min_ : 0.0; }

@@ -270,6 +270,8 @@ class Semaphore
         {
             s_.waiters_.push_back(
                 Waiter{h, detail::detachedFlag(h), need_});
+            if (s_.onContention_ != nullptr)
+                s_.onContention_(s_.contentionCtx_);
         }
 
         void await_resume() const {}
@@ -286,6 +288,18 @@ class Semaphore
         return AcquireAwaiter{*this, n};
     }
 
+    /**
+     * Run @p fn(@p ctx) whenever a coroutine starts waiting here
+     * (nullptr clears it). A holder parked on the poll grid
+     * (Simulator::parkOnGrid) uses it to resume in time to hand over.
+     */
+    void
+    onContention(void (*fn)(void*), void* ctx)
+    {
+        onContention_ = fn;
+        contentionCtx_ = ctx;
+    }
+
   private:
     struct Waiter
     {
@@ -297,6 +311,8 @@ class Semaphore
     Simulator& sim_;
     std::int64_t count_;
     std::deque<Waiter> waiters_;
+    void (*onContention_)(void*) = nullptr;
+    void* contentionCtx_ = nullptr;
 };
 
 /**

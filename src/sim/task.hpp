@@ -94,6 +94,9 @@ class FramePool
 struct PromiseBase
 {
     std::coroutine_handle<> continuation{};
+    /// The awaiting coroutine's promise when it is a Task (else null):
+    /// lets teardown walk a parked chain up to its owner.
+    PromiseBase* parent = nullptr;
     bool done = false;
     bool detached = false;
 
@@ -222,26 +225,30 @@ class [[nodiscard]] Task
         release();
     }
 
+    struct Awaiter
+    {
+        Handle h;
+        bool await_ready() const { return h.promise().done; }
+        template <typename P>
+        void
+        await_suspend(std::coroutine_handle<P> cont)
+        {
+            assert(!h.promise().continuation);
+            h.promise().continuation = cont;
+            if constexpr (std::is_base_of_v<detail::PromiseBase, P>)
+                h.promise().parent = &cont.promise();
+        }
+        T
+        await_resume()
+        {
+            return std::move(*h.promise().value);
+        }
+    };
+
     /** Awaiter: suspend until the task completes, yielding its value. */
-    auto
+    Awaiter
     operator co_await() &
     {
-        struct Awaiter
-        {
-            Handle h;
-            bool await_ready() const { return h.promise().done; }
-            void
-            await_suspend(std::coroutine_handle<> cont)
-            {
-                assert(!h.promise().continuation);
-                h.promise().continuation = cont;
-            }
-            T
-            await_resume()
-            {
-                return std::move(*h.promise().value);
-            }
-        };
         return Awaiter{handle_};
     }
 
@@ -323,21 +330,26 @@ class [[nodiscard]] Task<void>
         release();
     }
 
-    auto
+    struct Awaiter
+    {
+        Handle h;
+        bool await_ready() const { return h.promise().done; }
+        template <typename P>
+        void
+        await_suspend(std::coroutine_handle<P> cont)
+        {
+            assert(!h.promise().continuation);
+            h.promise().continuation = cont;
+            if constexpr (std::is_base_of_v<detail::PromiseBase, P>)
+                h.promise().parent = &cont.promise();
+        }
+        void await_resume() const {}
+    };
+
+    /** Awaiter: suspend until the task completes. */
+    Awaiter
     operator co_await() &
     {
-        struct Awaiter
-        {
-            Handle h;
-            bool await_ready() const { return h.promise().done; }
-            void
-            await_suspend(std::coroutine_handle<> cont)
-            {
-                assert(!h.promise().continuation);
-                h.promise().continuation = cont;
-            }
-            void await_resume() const {}
-        };
         return Awaiter{handle_};
     }
 

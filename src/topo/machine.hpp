@@ -53,7 +53,33 @@ class Core
     sim::Semaphore& mutex() { return mutex_; }
 
     void addBusy(Tick t) { busy_ += t; }
-    Tick busyTime() const { return busy_; }
+
+    /** Busy time so far, after settling every lazy debtor. */
+    Tick
+    busyTime() const
+    {
+        for (const Debtor& d : debtors_)
+            d.settle(d.ctx);
+        return busy_;
+    }
+
+    /**
+     * Register @p settle(@p ctx) as a lazy source of busy time: a
+     * busy-poller parked on the poll grid charges its skipped polls
+     * only when settled, so every busyTime() read settles it first.
+     */
+    void
+    addBusyDebtor(void (*settle)(void*), void* ctx)
+    {
+        debtors_.push_back(Debtor{settle, ctx});
+    }
+
+    void
+    removeBusyDebtor(void* ctx)
+    {
+        std::erase_if(debtors_,
+                      [ctx](const Debtor& d) { return d.ctx == ctx; });
+    }
 
     /** Acquire the core, execute @p t of work, release. */
     Task<>
@@ -73,6 +99,13 @@ class Core
     int id_;
     int node_;
     Tick busy_ = 0;
+
+    struct Debtor
+    {
+        void (*settle)(void*);
+        void* ctx;
+    };
+    std::vector<Debtor> debtors_;
 };
 
 /** Direction of a memory transfer relative to the memory node. */
