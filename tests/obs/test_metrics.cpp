@@ -5,10 +5,12 @@
  * bounds, and the exporters.
  */
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -126,6 +128,33 @@ TEST(Histogram, ExactStatsAndZeroBucket)
     EXPECT_DOUBLE_EQ(h.min(), 0.0);
     EXPECT_DOUBLE_EQ(h.max(), 32.0);
     EXPECT_EQ(h.zeroCount(), 1u);
+}
+
+TEST(Histogram, BulkRecordMatchesRepeatedSingleRecords)
+{
+    // Mixed values, including sub-unit and zero (the bulk-charged zero
+    // buckets of parked pollers) and a sum that rounds when repeated.
+    const std::vector<std::pair<double, std::uint64_t>> batches = {
+        {0.0, 1000}, {7.0, 3}, {0.3, 5}, {1e9 + 0.1, 17}, {0.0, 1},
+        {2.5, 0},    {0.1, 9}};
+    MetricRegistry single;
+    MetricRegistry bulk;
+    Histogram& a = single.histogram("h", {{"k", "v"}});
+    Histogram& b = bulk.histogram("h", {{"k", "v"}});
+    for (const auto& [v, n] : batches) {
+        for (std::uint64_t i = 0; i < n; ++i)
+            a.record(v);
+        b.record(v, n);
+    }
+    EXPECT_EQ(a.count(), b.count());
+    EXPECT_EQ(a.zeroCount(), b.zeroCount());
+    EXPECT_EQ(a.sum(), b.sum()); // bit-exact, not approximately
+    EXPECT_EQ(a.min(), b.min());
+    EXPECT_EQ(a.max(), b.max());
+    for (int i = 0; i < Histogram::kBuckets; ++i)
+        EXPECT_EQ(a.bucketCount(i), b.bucketCount(i)) << "bucket " << i;
+    EXPECT_EQ(single.prometheusText(), bulk.prometheusText());
+    EXPECT_EQ(a.count(), 1035u);
 }
 
 TEST(Histogram, PercentilesWithinBucketErrorBound)
