@@ -11,8 +11,8 @@
  *
  * Attribution is a Space-Saving top-K heavy-hitter sketch
  * (obs::SpaceSaving, K = OCTO_FLOW_TOPK, default 64) per device: the
- * K heaviest flows own labeled registry rows {dev, flow} of five
- * counters, exactly as when every flow had a row —
+ * K heaviest flows own labeled rows {dev, flow} of five counters,
+ * exported exactly as when every flow had a registry row —
  *
  *     flow_dma_local_bytes      payload bytes via a socket-local PF
  *     flow_dma_remote_bytes     payload bytes that crossed sockets
@@ -25,8 +25,13 @@
  * bench_obs_scale pin: sum over all flow rows *including* ~other of
  * the byte counters exactly equals the PF-grain dma_*_bytes totals,
  * at any instant, at any churn rate. Resident state is <= K rows per
- * device no matter how many flows live and die (the old design
- * materialized an unbounded row per key).
+ * device no matter how many flows live and die.
+ *
+ * The accountant keeps those rows itself, as a RowFamily the registry
+ * reads when it exports: admitting or evicting a flow touches no
+ * registry state, and record() is one sketch update plus plain adds.
+ * The rows carry the base labels in force when the accountant was
+ * built, and become plain registry counters when it is destroyed.
  *
  * Rollups: a record tagged with a tenant id additionally feeds exact
  * tenant_dma_* rows {dev, tenant} — bounded by the tenant count, never
@@ -44,10 +49,12 @@
  */
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -90,7 +97,18 @@ class DmaAccountant
         reg_->gaugeFn("flow_topk", l, [this] {
             return static_cast<double>(topK());
         });
+        other_.label = "~other";
+        rows_.emplace(*reg_,
+                      std::vector<std::string>{
+                          "flow_dma_local_bytes", "flow_dma_remote_bytes",
+                          "flow_interconnect_crossings", "flow_ddio_hits",
+                          "flow_ddio_misses"},
+                      l, "flow",
+                      [this](const RowFamily::RowFn& fn) { visit(fn); });
     }
+
+    DmaAccountant(const DmaAccountant&) = delete;
+    DmaAccountant& operator=(const DmaAccountant&) = delete;
 
     bool active() const { return reg_ != nullptr; }
 
@@ -116,34 +134,28 @@ class DmaAccountant
         if (exact_) {
             // OCTO_FLOW_TOPK=0: sketch disabled, one exact row per
             // flow, unbounded — no evictions, no ~other, no error.
-            auto it = exactRows_.find(key);
-            if (it == exactRows_.end()) {
-                it = exactRows_.emplace(key, FlowCell{}).first;
+            auto [it, fresh] = exactRows_.try_emplace(key);
+            if (fresh)
                 it->second.label = label();
-                it->second.row = makeRow("flow", it->second.label);
-            }
-            apply(it->second, bytes, local, ddio_hit);
+            apply(it->second.c, bytes, local, ddio_hit);
         } else {
             Sketch::Outcome out;
-            Sketch::Entry displaced;
-            Sketch::Entry& e =
-                sketch_.update(key, bytes, out, displaced);
+            FlowCell& c = sketch_.update(key, bytes, out, displaced_);
             switch (out) {
               case Sketch::Outcome::Updated:
                 break;
               case Sketch::Outcome::Replaced:
-                fold(displaced.payload);
+                fold(displaced_.payload);
                 [[fallthrough]];
               case Sketch::Outcome::Admitted:
-                e.payload.label = label();
-                e.payload.row = makeRow("flow", e.payload.label);
+                c.label = label();
                 break;
             }
-            apply(e.payload, bytes, local, ddio_hit);
+            apply(c.c, bytes, local, ddio_hit);
         }
 
         if (tenant >= 0)
-            applyRow(tenantRow(tenant), bytes, local, ddio_hit);
+            apply(tenantRow(tenant), bytes, local, ddio_hit);
         if (timed_)
             selfNs_ += nowNs() - t0;
     }
@@ -204,27 +216,28 @@ class DmaAccountant
     }
 
   private:
-    struct Row
+    /** Counter columns of one attribution row, in family name order. */
+    enum Col
     {
-        Counter* local = nullptr;
-        Counter* remote = nullptr;
-        Counter* crossings = nullptr;
-        Counter* ddioHits = nullptr;
-        Counter* ddioMisses = nullptr;
+        kLocal,
+        kRemote,
+        kCrossings,
+        kDdioHits,
+        kDdioMisses,
+        kCols,
     };
 
-    /** Exact per-resident-flow bookkeeping: mirrors the registry row
-     *  so eviction can fold the full history into ~other without
-     *  re-reading (or trusting) registry state. */
+    /** A tenant rollup row: registry counters. */
+    using Row = std::array<Counter*, kCols>;
+
+    /** One resident flow (or ~other): its label and exact counts. These
+     *  are the exported rows themselves — the registry reads them
+     *  through rows_ — so eviction can fold the full history into
+     *  ~other. */
     struct FlowCell
     {
-        Row row;
         std::string label;
-        std::uint64_t localBytes = 0;
-        std::uint64_t remoteBytes = 0;
-        std::uint64_t crossings = 0;
-        std::uint64_t ddioHits = 0;
-        std::uint64_t ddioMisses = 0;
+        std::array<Counter, kCols> c;
     };
 
     using Sketch = SpaceSaving<FlowCell>;
@@ -245,96 +258,51 @@ class DmaAccountant
                 .count());
     }
 
-    /** Register one five-counter attribution row keyed {dev, <kind>}.
-     *  @p kind is the label key ("flow" or "tenant"). */
-    Row
-    makeRow(const char* kind, const std::string& value)
-    {
-        const Labels l = {{"dev", dev_}, {kind, value}};
-        Row r;
-        r.local = &reg_->counter("flow_dma_local_bytes", l);
-        r.remote = &reg_->counter("flow_dma_remote_bytes", l);
-        r.crossings = &reg_->counter("flow_interconnect_crossings", l);
-        r.ddioHits = &reg_->counter("flow_ddio_hits", l);
-        r.ddioMisses = &reg_->counter("flow_ddio_misses", l);
-        return r;
-    }
+    static Counter& col(std::array<Counter, kCols>& r, Col i) { return r[i]; }
+    static Counter& col(const Row& r, Col i) { return *r[i]; }
 
-    Row
-    makeTenantRow(const std::string& value)
-    {
-        const Labels l = {{"dev", dev_}, {"tenant", value}};
-        Row r;
-        r.local = &reg_->counter("tenant_dma_local_bytes", l);
-        r.remote = &reg_->counter("tenant_dma_remote_bytes", l);
-        r.crossings =
-            &reg_->counter("tenant_interconnect_crossings", l);
-        r.ddioHits = &reg_->counter("tenant_ddio_hits", l);
-        r.ddioMisses = &reg_->counter("tenant_ddio_misses", l);
-        return r;
-    }
-
+    template <typename R>
     static void
-    applyRow(const Row& r, std::uint64_t bytes, bool local,
-             bool ddio_hit)
+    apply(R& r, std::uint64_t bytes, bool local, bool ddio_hit)
     {
         if (local) {
-            r.local->add(bytes);
+            col(r, kLocal).add(bytes);
         } else {
-            r.remote->add(bytes);
-            r.crossings->add();
+            col(r, kRemote).add(bytes);
+            col(r, kCrossings).add();
         }
-        if (ddio_hit)
-            r.ddioHits->add();
-        else
-            r.ddioMisses->add();
-    }
-
-    void
-    apply(FlowCell& c, std::uint64_t bytes, bool local, bool ddio_hit)
-    {
-        applyRow(c.row, bytes, local, ddio_hit);
-        if (local) {
-            c.localBytes += bytes;
-        } else {
-            c.remoteBytes += bytes;
-            ++c.crossings;
-        }
-        if (ddio_hit)
-            ++c.ddioHits;
-        else
-            ++c.ddioMisses;
+        col(r, ddio_hit ? kDdioHits : kDdioMisses).add();
     }
 
     /**
      * Eviction: move the displaced flow's exact history into the
-     * conserved ~other row and drop its labeled registry rows. The
-     * byte totals summed over all flow rows are unchanged by
-     * construction — conservation survives arbitrary churn.
+     * conserved ~other row; its own row leaves with it. The byte
+     * totals summed over all flow rows are unchanged by construction —
+     * conservation survives arbitrary churn.
      */
     void
     fold(const FlowCell& c)
     {
-        const Row& o = otherRow();
-        o.local->add(c.localBytes);
-        o.remote->add(c.remoteBytes);
-        o.crossings->add(c.crossings);
-        o.ddioHits->add(c.ddioHits);
-        o.ddioMisses->add(c.ddioMisses);
-        const Labels l = {{"dev", dev_}, {"flow", c.label}};
-        reg_->removeCounter("flow_dma_local_bytes", l);
-        reg_->removeCounter("flow_dma_remote_bytes", l);
-        reg_->removeCounter("flow_interconnect_crossings", l);
-        reg_->removeCounter("flow_ddio_hits", l);
-        reg_->removeCounter("flow_ddio_misses", l);
+        for (int i = 0; i < kCols; ++i)
+            other_.c[i].add(c.c[i].value());
     }
 
-    const Row&
-    otherRow()
+    /** Every exported flow row: resident flows, then ~other once
+     *  something has been folded into it. */
+    void
+    visit(const RowFamily::RowFn& fn) const
     {
-        if (other_.local == nullptr)
-            other_ = makeRow("flow", "~other");
-        return other_;
+        if (exact_) {
+            for (const auto& [key, c] : exactRows_)
+                fn(c.label, c.c.data());
+        } else {
+            for (std::size_t i = 0; i < sketch_.size(); ++i) {
+                const FlowCell& c = sketch_.payload(i);
+                fn(c.label, c.c.data());
+            }
+        }
+        if (sketch_.evictions() > 0)
+            fn(other_.label, other_.c.data());
     }
 
     const Row&
@@ -342,10 +310,16 @@ class DmaAccountant
     {
         auto it = tenants_.find(tenant);
         if (it == tenants_.end()) {
-            it = tenants_
-                     .emplace(tenant,
-                              makeTenantRow(std::to_string(tenant)))
-                     .first;
+            const Labels l = {{"dev", dev_},
+                              {"tenant", std::to_string(tenant)}};
+            Row r;
+            r[kLocal] = &reg_->counter("tenant_dma_local_bytes", l);
+            r[kRemote] = &reg_->counter("tenant_dma_remote_bytes", l);
+            r[kCrossings] =
+                &reg_->counter("tenant_interconnect_crossings", l);
+            r[kDdioHits] = &reg_->counter("tenant_ddio_hits", l);
+            r[kDdioMisses] = &reg_->counter("tenant_ddio_misses", l);
+            it = tenants_.emplace(tenant, r).first;
         }
         return it->second;
     }
@@ -355,11 +329,15 @@ class DmaAccountant
     bool exact_;
     Sketch sketch_;
     std::unordered_map<std::uint64_t, FlowCell> exactRows_;
-    Row other_;
+    FlowCell other_;
+    Sketch::Entry displaced_; ///< update()'s hand-back slot.
     std::unordered_map<int, Row> tenants_;
     std::uint64_t records_ = 0;
     std::uint64_t selfNs_ = 0;
     bool timed_;
+    /** Last member: destroyed first, it materializes the rows above
+     *  into the registry while they are still alive. */
+    std::optional<RowFamily> rows_;
 };
 
 } // namespace octo::obs

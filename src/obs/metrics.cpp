@@ -89,7 +89,54 @@ Histogram::percentile(double p) const
     return max_;
 }
 
+// -------------------------------------------------------------- RowFamily
+
+RowFamily::RowFamily(MetricRegistry& reg, std::vector<std::string> names,
+                     const Labels& fixed, std::string key,
+                     std::function<void(const RowFn&)> visit)
+    : reg_(&reg), names_(std::move(names)), fixed_(reg.stamped(fixed)),
+      key_(std::move(key)), visit_(std::move(visit))
+{
+    reg_->families_.push_back(this);
+}
+
+RowFamily::~RowFamily()
+{
+    if (reg_ == nullptr)
+        return;
+    visit_([this](const std::string& value, const Counter* c) {
+        const Labels l = rowLabels(value);
+        for (std::size_t i = 0; i < names_.size(); ++i)
+            reg_->entry(names_[i], l, MetricKind::Counter)
+                .c->add(c[i].value());
+    });
+    auto& fams = reg_->families_;
+    fams.erase(std::find(fams.begin(), fams.end(), this));
+}
+
+Labels
+RowFamily::rowLabels(const std::string& value) const
+{
+    Labels l = fixed_;
+    l.emplace_back(key_, value);
+    return MetricRegistry::canonical(std::move(l));
+}
+
+int
+RowFamily::column(const std::string& name) const
+{
+    const auto it = std::find(names_.begin(), names_.end(), name);
+    return it == names_.end() ? -1
+                              : static_cast<int>(it - names_.begin());
+}
+
 // --------------------------------------------------------- MetricRegistry
+
+MetricRegistry::~MetricRegistry()
+{
+    for (RowFamily* f : families_)
+        f->reg_ = nullptr;
+}
 
 Labels
 MetricRegistry::canonical(Labels l)
@@ -130,7 +177,6 @@ MetricRegistry::Entry&
 MetricRegistry::entry(const std::string& name, Labels labels,
                       MetricKind kind)
 {
-    labels = stamped(std::move(labels));
     const std::string k = key(name, labels);
     auto it = entries_.find(k);
     if (it == entries_.end()) {
@@ -159,7 +205,8 @@ MetricRegistry::entry(const std::string& name, Labels labels,
 Counter&
 MetricRegistry::counter(const std::string& name, Labels labels)
 {
-    return *entry(name, std::move(labels), MetricKind::Counter).c;
+    return *entry(name, stamped(std::move(labels)), MetricKind::Counter)
+                .c;
 }
 
 Counter&
@@ -174,7 +221,7 @@ MetricRegistry::counterFn(const std::string& name, Labels labels,
 Gauge&
 MetricRegistry::gauge(const std::string& name, Labels labels)
 {
-    return *entry(name, std::move(labels), MetricKind::Gauge).g;
+    return *entry(name, stamped(std::move(labels)), MetricKind::Gauge).g;
 }
 
 Gauge&
@@ -189,18 +236,9 @@ MetricRegistry::gaugeFn(const std::string& name, Labels labels,
 Histogram&
 MetricRegistry::histogram(const std::string& name, Labels labels)
 {
-    return *entry(name, std::move(labels), MetricKind::Histogram).h;
-}
-
-bool
-MetricRegistry::removeCounter(const std::string& name, Labels labels)
-{
-    const std::string k = key(name, stamped(std::move(labels)));
-    auto it = entries_.find(k);
-    if (it == entries_.end() || it->second.kind != MetricKind::Counter)
-        return false;
-    entries_.erase(it);
-    return true;
+    return *entry(name, stamped(std::move(labels)),
+                  MetricKind::Histogram)
+                .h;
 }
 
 const MetricRegistry::Entry*
@@ -217,8 +255,25 @@ const Counter*
 MetricRegistry::findCounter(const std::string& name,
                             const Labels& labels) const
 {
-    const Entry* e = find(name, labels, MetricKind::Counter);
-    return e != nullptr ? e->c.get() : nullptr;
+    if (const Entry* e = find(name, labels, MetricKind::Counter))
+        return e->c.get();
+    const Labels want = canonical(labels);
+    for (const RowFamily* f : families_) {
+        const int col = f->column(name);
+        const auto kv = std::find_if(
+            want.begin(), want.end(),
+            [f](const auto& p) { return p.first == f->key_; });
+        if (col < 0 || kv == want.end() || f->rowLabels(kv->second) != want)
+            continue;
+        const Counter* found = nullptr;
+        f->visit_([&](const std::string& value, const Counter* c) {
+            if (found == nullptr && value == kv->second)
+                found = &c[col];
+        });
+        if (found != nullptr)
+            return found;
+    }
+    return nullptr;
 }
 
 const Gauge*
@@ -284,34 +339,99 @@ kindName(MetricKind k)
 
 } // namespace
 
+std::size_t
+MetricRegistry::size() const
+{
+    std::size_t n = entries_.size();
+    for (const RowFamily* f : families_)
+        f->visit_([&](const std::string&, const Counter*) {
+            n += f->names_.size();
+        });
+    return n;
+}
+
+void
+MetricRegistry::visitRows(const std::function<void(const Row&)>& fn) const
+{
+    // Family rows keyed exactly like entries_, so one sorted merge
+    // yields the order the rows would have as registered counters.
+    struct Loose
+    {
+        std::string key;
+        const std::string* name;
+        Labels labels;
+        std::uint64_t value;
+    };
+    std::vector<Loose> loose;
+    for (const RowFamily* f : families_) {
+        f->visit_([&](const std::string& value, const Counter* c) {
+            const Labels l = f->rowLabels(value);
+            for (std::size_t i = 0; i < f->names_.size(); ++i)
+                loose.push_back({key(f->names_[i], l), &f->names_[i], l,
+                                 c[i].value()});
+        });
+    }
+    std::sort(loose.begin(), loose.end(),
+              [](const Loose& a, const Loose& b) { return a.key < b.key; });
+
+    auto it = entries_.begin();
+    std::size_t j = 0;
+    while (it != entries_.end() || j < loose.size()) {
+        if (j == loose.size() ||
+            (it != entries_.end() && it->first < loose[j].key)) {
+            const Entry& e = it->second;
+            fn(Row{&e.name, &e.labels, e.kind,
+                   e.kind == MetricKind::Counter ? e.c->value() : 0,
+                   e.g.get(), e.h.get()});
+            ++it;
+            continue;
+        }
+        // Rows sharing an identity (a retired family's row and a live
+        // one, or two live families) export as one summed counter.
+        const Loose& r = loose[j];
+        std::uint64_t v = 0;
+        if (it != entries_.end() && it->first == r.key) {
+            assert(it->second.kind == MetricKind::Counter);
+            v += it->second.c->value();
+            ++it;
+        }
+        for (; j < loose.size() && loose[j].key == r.key; ++j)
+            v += loose[j].value;
+        fn(Row{r.name, &r.labels, MetricKind::Counter, v, nullptr,
+               nullptr});
+    }
+}
+
 void
 MetricRegistry::writePrometheus(std::FILE* out) const
 {
-    // std::map iteration is sorted by full key, so all series of one
-    // metric name are contiguous: one # TYPE line per name.
+    // Rows arrive sorted by full key, so all series of one metric name
+    // are contiguous: one # TYPE line per name.
     std::string last_name;
-    for (const auto& [k, e] : entries_) {
-        if (e.name != last_name) {
-            std::fprintf(out, "# TYPE %s %s\n", e.name.c_str(),
-                         kindName(e.kind));
-            last_name = e.name;
+    visitRows([&](const Row& r) {
+        const std::string& name = *r.name;
+        const Labels& labels = *r.labels;
+        if (name != last_name) {
+            std::fprintf(out, "# TYPE %s %s\n", name.c_str(),
+                         kindName(r.kind));
+            last_name = name;
         }
-        switch (e.kind) {
+        switch (r.kind) {
           case MetricKind::Counter:
-            std::fprintf(out, "%s%s %llu\n", e.name.c_str(),
-                         promLabels(e.labels).c_str(),
-                         static_cast<unsigned long long>(e.c->value()));
+            std::fprintf(out, "%s%s %llu\n", name.c_str(),
+                         promLabels(labels).c_str(),
+                         static_cast<unsigned long long>(r.count));
             break;
           case MetricKind::Gauge:
-            std::fprintf(out, "%s%s %.9g\n", e.name.c_str(),
-                         promLabels(e.labels).c_str(), e.g->value());
+            std::fprintf(out, "%s%s %.9g\n", name.c_str(),
+                         promLabels(labels).c_str(), r.g->value());
             break;
           case MetricKind::Histogram: {
-            const Histogram& h = *e.h;
+            const Histogram& h = *r.h;
             std::uint64_t cum = h.zeroCount();
             // The zero/underflow bucket surfaces under le="1".
-            std::fprintf(out, "%s_bucket%s %llu\n", e.name.c_str(),
-                         promLabels(e.labels, "le", "1").c_str(),
+            std::fprintf(out, "%s_bucket%s %llu\n", name.c_str(),
+                         promLabels(labels, "le", "1").c_str(),
                          static_cast<unsigned long long>(cum));
             for (int i = 0; i < Histogram::kBuckets; ++i) {
                 if (h.bucketCount(i) == 0)
@@ -320,22 +440,22 @@ MetricRegistry::writePrometheus(std::FILE* out) const
                 char upper[32];
                 std::snprintf(upper, sizeof upper, "%.9g",
                               Histogram::bucketUpper(i));
-                std::fprintf(out, "%s_bucket%s %llu\n", e.name.c_str(),
-                             promLabels(e.labels, "le", upper).c_str(),
+                std::fprintf(out, "%s_bucket%s %llu\n", name.c_str(),
+                             promLabels(labels, "le", upper).c_str(),
                              static_cast<unsigned long long>(cum));
             }
-            std::fprintf(out, "%s_bucket%s %llu\n", e.name.c_str(),
-                         promLabels(e.labels, "le", "+Inf").c_str(),
+            std::fprintf(out, "%s_bucket%s %llu\n", name.c_str(),
+                         promLabels(labels, "le", "+Inf").c_str(),
                          static_cast<unsigned long long>(h.count()));
-            std::fprintf(out, "%s_sum%s %.9g\n", e.name.c_str(),
-                         promLabels(e.labels).c_str(), h.sum());
-            std::fprintf(out, "%s_count%s %llu\n", e.name.c_str(),
-                         promLabels(e.labels).c_str(),
+            std::fprintf(out, "%s_sum%s %.9g\n", name.c_str(),
+                         promLabels(labels).c_str(), h.sum());
+            std::fprintf(out, "%s_count%s %llu\n", name.c_str(),
+                         promLabels(labels).c_str(),
                          static_cast<unsigned long long>(h.count()));
             break;
           }
         }
-    }
+    });
 }
 
 std::string
@@ -371,40 +491,40 @@ void
 MetricRegistry::writeCsv(std::FILE* out) const
 {
     std::fprintf(out, "metric,labels,kind,value\n");
-    for (const auto& [k, e] : entries_) {
+    visitRows([&](const Row& r) {
+        const char* name = r.name->c_str();
         std::string ls;
-        for (const auto& [lk, lv] : e.labels) {
+        for (const auto& [lk, lv] : *r.labels) {
             if (!ls.empty())
                 ls += ';';
             ls += lk;
             ls += '=';
             ls += lv;
         }
-        switch (e.kind) {
+        switch (r.kind) {
           case MetricKind::Counter:
-            std::fprintf(out, "%s,%s,counter,%llu\n", e.name.c_str(),
-                         ls.c_str(),
-                         static_cast<unsigned long long>(e.c->value()));
+            std::fprintf(out, "%s,%s,counter,%llu\n", name, ls.c_str(),
+                         static_cast<unsigned long long>(r.count));
             break;
           case MetricKind::Gauge:
-            std::fprintf(out, "%s,%s,gauge,%.9g\n", e.name.c_str(),
-                         ls.c_str(), e.g->value());
+            std::fprintf(out, "%s,%s,gauge,%.9g\n", name, ls.c_str(),
+                         r.g->value());
             break;
           case MetricKind::Histogram:
-            std::fprintf(out, "%s_count,%s,histogram,%llu\n",
-                         e.name.c_str(), ls.c_str(),
-                         static_cast<unsigned long long>(e.h->count()));
-            std::fprintf(out, "%s_sum,%s,histogram,%.9g\n",
-                         e.name.c_str(), ls.c_str(), e.h->sum());
-            std::fprintf(out, "%s_p50,%s,histogram,%.9g\n",
-                         e.name.c_str(), ls.c_str(), e.h->p50());
-            std::fprintf(out, "%s_p90,%s,histogram,%.9g\n",
-                         e.name.c_str(), ls.c_str(), e.h->p90());
-            std::fprintf(out, "%s_p99,%s,histogram,%.9g\n",
-                         e.name.c_str(), ls.c_str(), e.h->p99());
+            std::fprintf(out, "%s_count,%s,histogram,%llu\n", name,
+                         ls.c_str(),
+                         static_cast<unsigned long long>(r.h->count()));
+            std::fprintf(out, "%s_sum,%s,histogram,%.9g\n", name,
+                         ls.c_str(), r.h->sum());
+            std::fprintf(out, "%s_p50,%s,histogram,%.9g\n", name,
+                         ls.c_str(), r.h->p50());
+            std::fprintf(out, "%s_p90,%s,histogram,%.9g\n", name,
+                         ls.c_str(), r.h->p90());
+            std::fprintf(out, "%s_p99,%s,histogram,%.9g\n", name,
+                         ls.c_str(), r.h->p99());
             break;
         }
-    }
+    });
 }
 
 void
@@ -412,30 +532,48 @@ MetricRegistry::forEach(
     const std::function<void(const std::string&, const Labels&,
                              MetricKind)>& fn) const
 {
-    for (const auto& [k, e] : entries_)
-        fn(e.name, e.labels, e.kind);
+    visitRows([&fn](const Row& r) { fn(*r.name, *r.labels, r.kind); });
 }
 
 std::uint64_t
 MetricRegistry::sumCounters(const std::string& name,
                             const Labels& match) const
 {
+    const auto has = [](const Labels& labels, const auto& m) {
+        return std::any_of(labels.begin(), labels.end(),
+                           [&](const auto& p) { return p == m; });
+    };
     std::uint64_t total = 0;
     for (const auto& [k, e] : entries_) {
         if (e.name != name || e.kind != MetricKind::Counter)
             continue;
+        if (std::all_of(match.begin(), match.end(),
+                        [&](const auto& m) { return has(e.labels, m); }))
+            total += e.c->value();
+    }
+    for (const RowFamily* f : families_) {
+        const int col = f->column(name);
+        if (col < 0)
+            continue;
+        // Fixed labels are shared by every row; a match on the varying
+        // key selects rows by value.
+        const std::string* want = nullptr;
         bool ok = true;
         for (const auto& m : match) {
-            const bool found =
-                std::any_of(e.labels.begin(), e.labels.end(),
-                            [&](const auto& p) { return p == m; });
-            if (!found) {
+            if (m.first == f->key_) {
+                if (want != nullptr && *want != m.second)
+                    ok = false;
+                want = &m.second;
+            } else if (!has(f->fixed_, m)) {
                 ok = false;
-                break;
             }
         }
-        if (ok)
-            total += e.c->value();
+        if (!ok)
+            continue;
+        f->visit_([&](const std::string& value, const Counter* c) {
+            if (want == nullptr || value == *want)
+                total += c[col].value();
+        });
     }
     return total;
 }

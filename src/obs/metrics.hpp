@@ -20,6 +20,8 @@
  * eagerly at construction. The registry owns all instruments; pointers
  * stay valid for its lifetime (call sites cache them — the
  * zero-overhead-when-off discipline is a null check, not a map lookup).
+ * The one exception is a RowFamily: counter rows whose owner keeps
+ * them, read by the registry only when it exports.
  *
  * Snapshots export as Prometheus text (deterministic ordering) or CSV.
  */
@@ -35,6 +37,8 @@
 #include <vector>
 
 namespace octo::obs {
+
+class MetricRegistry;
 
 /** Label set: key/value pairs, canonicalized (sorted by key) by the
  *  registry so label order at the call site never matters. */
@@ -126,6 +130,57 @@ enum class MetricKind
 };
 
 /**
+ * Counter rows kept by their owner instead of the registry.
+ *
+ * Every row of a family has one counter per family metric name; rows
+ * share the family's fixed labels and differ in one varying label
+ * (key = the row's value). The owner stores the counters and adds into
+ * them directly, so creating or dropping a row costs no registry work
+ * (DmaAccountant's churning flow rows). The registry reads the rows
+ * when it exports, merged in key order with its stored instruments, in
+ * writePrometheus, writeCsv, forEach, sumCounters, findCounter and
+ * size(): an export cannot tell a family row from a registered counter.
+ *
+ * The fixed labels are stamped with the base labels in force at
+ * construction, so every row stays under the run its owner attached
+ * in. Destroying the family turns each row it still visits into a
+ * plain registry counter (the hub outlives the model that owned the
+ * rows), so it must be destroyed while those rows are alive: declare
+ * it after them. A registry destroyed first detaches the family.
+ */
+class RowFamily
+{
+  public:
+    /** Row visitor: the varying label's value and the row's counters,
+     *  one per metric name in family order. */
+    using RowFn =
+        std::function<void(const std::string& value, const Counter* c)>;
+
+    /** @param visit Calls its argument once per live row. */
+    RowFamily(MetricRegistry& reg, std::vector<std::string> names,
+              const Labels& fixed, std::string key,
+              std::function<void(const RowFn&)> visit);
+    ~RowFamily();
+    RowFamily(const RowFamily&) = delete;
+    RowFamily& operator=(const RowFamily&) = delete;
+
+  private:
+    friend class MetricRegistry;
+
+    /** Canonical label set of the row whose varying label is @p value. */
+    Labels rowLabels(const std::string& value) const;
+
+    /** Index of @p name among the family's names, or -1. */
+    int column(const std::string& name) const;
+
+    MetricRegistry* reg_;
+    std::vector<std::string> names_;
+    Labels fixed_; ///< Canonical, base labels stamped at construction.
+    std::string key_;
+    std::function<void(const RowFn&)> visit_;
+};
+
+/**
  * The registry. One per obs::Hub; every layer registers into it.
  *
  * Base labels (setBaseLabels) are stamped onto instruments created
@@ -136,6 +191,7 @@ class MetricRegistry
 {
   public:
     MetricRegistry() = default;
+    ~MetricRegistry();
     MetricRegistry(const MetricRegistry&) = delete;
     MetricRegistry& operator=(const MetricRegistry&) = delete;
 
@@ -147,18 +203,6 @@ class MetricRegistry
                    std::function<double()> fn);
     Histogram& histogram(const std::string& name, Labels labels = {});
 
-    /**
-     * Remove the counter (name, labels) from the registry. Base labels
-     * are stamped exactly as at registration, so a call site that
-     * created a row under the current run label can drop it the same
-     * way. Pointers to the removed instrument are invalidated — only
-     * owners that manage the full row lifecycle (DmaAccountant's
-     * bounded attribution rows) may use this; shared instruments are
-     * registered once and never removed.
-     * @return true when a counter row was removed.
-     */
-    bool removeCounter(const std::string& name, Labels labels);
-
     /** Lookup without creating; null when absent or kind-mismatched.
      *  Matches against the full label set including any base labels
      *  that were active when the instrument was registered. */
@@ -169,7 +213,8 @@ class MetricRegistry
     const Histogram* findHistogram(const std::string& name,
                                    const Labels& labels = {}) const;
 
-    std::size_t size() const { return entries_.size(); }
+    /** Series count: stored instruments plus live family rows. */
+    std::size_t size() const;
 
     /**
      * Snapshot every callback-backed counter/gauge into a plain stored
@@ -202,6 +247,8 @@ class MetricRegistry
                               const Labels& match = {}) const;
 
   private:
+    friend class RowFamily;
+
     struct Entry
     {
         std::string name;
@@ -212,6 +259,23 @@ class MetricRegistry
         std::unique_ptr<Histogram> h;
     };
 
+    /** One exported series: a stored instrument, or a counter whose
+     *  value sums every row with its identity. */
+    struct Row
+    {
+        const std::string* name;
+        const Labels* labels;
+        MetricKind kind;
+        std::uint64_t count; ///< Counter value.
+        const Gauge* g;
+        const Histogram* h;
+    };
+
+    /** Every series in key order, family rows merged in. */
+    void visitRows(const std::function<void(const Row&)>& fn) const;
+
+    /** The instrument (name, @p labels), created when absent; @p labels
+     *  must already be stamped and canonical. */
     Entry& entry(const std::string& name, Labels labels, MetricKind kind);
     const Entry* find(const std::string& name, const Labels& labels,
                       MetricKind kind) const;
@@ -224,6 +288,7 @@ class MetricRegistry
     static std::string key(const std::string& name, const Labels& l);
 
     std::map<std::string, Entry> entries_;
+    std::vector<RowFamily*> families_;
     Labels base_;
 };
 

@@ -6,6 +6,7 @@
  * simulation's results).
  */
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -54,6 +55,77 @@ TEST(DmaAccountant, RowsSplitLocalityPerFlow)
     EXPECT_EQ(reg.sumCounters("flow_dma_remote_bytes",
                               {{"dev", "nic0"}}),
               564u);
+}
+
+TEST(DmaAccountant, SetRunMidLifeKeepsRowsUnderAttachRun)
+{
+    // A run label set while an accountant is alive must not split its
+    // rows: an eviction after setRun once left the evicted flow's row
+    // under the old run and added its bytes to ~other as well.
+    Hub hub;
+    hub.setRun("A");
+    DmaAccountant acc(&hub, "nic0", 2);
+    const auto label = [](const char* f) {
+        return [f] { return std::string(f); };
+    };
+    acc.record(1, label("a"), 100, true, true);
+    acc.record(2, label("b"), 200, true, true);
+    hub.setRun("B");
+    acc.record(3, label("c"), 300, true, true);
+    ASSERT_EQ(acc.evictions(), 1u);
+
+    MetricRegistry& reg = hub.metrics();
+    EXPECT_EQ(reg.sumCounters("flow_dma_local_bytes", {{"dev", "nic0"}}),
+              600u);
+    EXPECT_EQ(reg.sumCounters("flow_dma_local_bytes",
+                              {{"dev", "nic0"}, {"run", "A"}}),
+              600u);
+    EXPECT_EQ(reg.findCounter("flow_dma_local_bytes",
+                              {{"dev", "nic0"}, {"flow", "~other"},
+                               {"run", "A"}})
+                  ->value(),
+              100u);
+    EXPECT_EQ(reg.findCounter("flow_dma_local_bytes",
+                              {{"dev", "nic0"}, {"flow", "a"}, {"run", "A"}}),
+              nullptr);
+}
+
+TEST(DmaAccountant, TeardownLeavesRowsAsRegistryCounters)
+{
+    Hub hub;
+    const Labels b = {{"dev", "nic0"}, {"flow", "b"}};
+    {
+        DmaAccountant acc(&hub, "nic0", 2);
+        acc.record(1, [] { return std::string("a"); }, 100, true, true);
+        acc.record(2, [] { return std::string("b"); }, 200, false, true);
+        // A looked-up flow row is the accountant's live counter.
+        const Counter* row = hub.metrics().findCounter(
+            "flow_dma_remote_bytes", b);
+        ASSERT_NE(row, nullptr);
+        acc.record(2, [] { return std::string("b"); }, 50, false, true);
+        EXPECT_EQ(row->value(), 250u);
+        acc.record(3, [] { return std::string("c"); }, 300, true, true);
+        hub.metrics().freeze();
+    }
+    const MetricRegistry& reg = hub.metrics();
+    EXPECT_EQ(reg.findCounter("flow_dma_remote_bytes", b)->value(), 250u);
+    EXPECT_EQ(reg.findCounter("flow_dma_local_bytes",
+                              {{"dev", "nic0"}, {"flow", "~other"}})
+                  ->value(),
+              100u);
+    EXPECT_EQ(reg.sumCounters("flow_dma_local_bytes") +
+                  reg.sumCounters("flow_dma_remote_bytes"),
+              650u);
+}
+
+TEST(DmaAccountant, OutlivesItsRegistry)
+{
+    auto hub = std::make_unique<Hub>();
+    DmaAccountant acc(hub.get(), "nic0", 2);
+    acc.record(1, [] { return std::string("a"); }, 100, true, true);
+    hub->metrics().freeze();
+    hub.reset(); // acc's teardown must not touch the dead registry
+    EXPECT_EQ(acc.flowCount(), 1u);
 }
 
 struct LocalitySplit
