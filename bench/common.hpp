@@ -220,34 +220,10 @@ class ObsSession
                 });
             }
         }
-        // Opt-in (OCTO_SAMPLE_FLOWS=1): flow-attribution sketch tracks —
-        // resident rows (gauge) and eviction rate per device. Off by
-        // default so the standard report stays byte-comparable against
-        // goldens generated before these tracks existed.
-        if (std::getenv("OCTO_SAMPLE_FLOWS") != nullptr) {
-            const obs::DmaAccountant* acc = &nic->flows();
-            s.watchGauge("flow_rows[nic]", [acc] {
-                return static_cast<double>(acc->flowCount());
-            });
-            s.watchRate(
-                "flow_evictions_per_s[nic]",
-                [acc] { return acc->evictions(); },
-                obs::SampleUnit::PerSec);
-            if (bypass::PollPlane* pl = tb.serverPoll()) {
-                const obs::DmaAccountant* pacc = &pl->flows();
-                s.watchGauge("flow_rows[poll]", [pacc] {
-                    return static_cast<double>(pacc->flowCount());
-                });
-                s.watchRate(
-                    "flow_evictions_per_s[poll]",
-                    [pacc] { return pacc->evictions(); },
-                    obs::SampleUnit::PerSec);
-            }
-        }
         // Opt-in (OCTO_SAMPLE_ACCMON=1): access-monitor self tracks —
         // live region count (gauge) and scheme-action rate. Off by
         // default so the standard report stays byte-comparable against
-        // goldens (same contract as OCTO_SAMPLE_FLOWS).
+        // goldens.
         if (std::getenv("OCTO_SAMPLE_ACCMON") != nullptr) {
             if (const accmon::AccessMonitor* am = tb.accessMonitor()) {
                 s.watchGauge("accmon_regions", [am] {
@@ -261,45 +237,6 @@ class ObsSession
                     [se] { return se->appliedTotal(); },
                     obs::SampleUnit::PerSec);
             }
-        }
-        // Opt-in (OCTO_SAMPLE_SIM=1): event-core throughput per
-        // scheduling domain. Off by default so the standard report
-        // stays byte-comparable against goldens.
-        if (std::getenv("OCTO_SAMPLE_SIM") != nullptr) {
-            sim::Simulator* sp = &tb.sim();
-            s.watchRate(
-                "sim_events_per_s",
-                [sp] { return sp->eventsProcessed(); },
-                obs::SampleUnit::PerSec);
-            // Probes filter the live domain list at sample time, so
-            // domains registered mid-run (lazy IRQ events) are counted
-            // from their first event on.
-            for (int n = 0; n < m->nodes(); ++n) {
-                s.watchRate(
-                    "sim_events_per_s[node" + std::to_string(n) + "]",
-                    [sp, n] {
-                        std::uint64_t total = 0;
-                        const auto& ds = sp->domains();
-                        for (std::size_t i = 0; i < ds.size(); ++i) {
-                            if (ds[i].node == n)
-                                total += sp->domainEvents(i);
-                        }
-                        return total;
-                    },
-                    obs::SampleUnit::PerSec);
-            }
-            s.watchRate(
-                "sim_events_per_s[dev]",
-                [sp] {
-                    std::uint64_t total = 0;
-                    const auto& ds = sp->domains();
-                    for (std::size_t i = 0; i < ds.size(); ++i) {
-                        if (ds[i].device >= 0)
-                            total += sp->domainEvents(i);
-                    }
-                    return total;
-                },
-                obs::SampleUnit::PerSec);
         }
         s.start();
         return &s;

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "sim/trace.hpp"
 
 using namespace octo;
 using namespace octo::bench;
@@ -71,11 +70,15 @@ runTimeline(bool monitored, bool print, ObsSession* obs = nullptr)
         return total;
     };
 
-    sim::TimeSeries series(tb.sim(), kSample);
-    series.addProbe("pf0", [&] { return tb.serverNic().pfRxBytes(0); });
-    series.addProbe("pf1", [&] { return tb.serverNic().pfRxBytes(1); });
-    series.addProbe("app", app_bytes);
-    series.start();
+    // The timeline samples into a private hub and report, so the
+    // ObsSession's exports do not carry it.
+    obs::Hub series_hub;
+    obs::Report series;
+    obs::Sampler sampler(tb.sim(), series_hub, series, kSample);
+    sampler.watchRate("pf0", [&] { return tb.serverNic().pfRxBytes(0); });
+    sampler.watchRate("pf1", [&] { return tb.serverNic().pfRxBytes(1); });
+    sampler.watchRate("app", app_bytes);
+    sampler.start();
     // The sampled run shows the weight collapse and the probation
     // ramp directly as pfN_health_weight counter tracks.
     if (obs != nullptr)
@@ -98,6 +101,7 @@ runTimeline(bool monitored, bool print, ObsSession* obs = nullptr)
             degraded_bytes = app_bytes() - mark;
     }
 
+    const obs::RunData& run = series.runs().front();
     if (print) {
         std::printf("\n# octoNIC: PF0 retrained x8->x2 at 0.30 s, "
                     "restored at 0.60 s; %d Rx streams on node 0; "
@@ -105,16 +109,16 @@ runTimeline(bool monitored, bool print, ObsSession* obs = nullptr)
                     kStreams, monitored ? "ON" : "OFF");
         std::printf("%-8s %8s %8s %8s %8s %8s %10s\n", "t[s]", "pf0",
                     "pf1", "app", "w0", "w1", "pf0-state");
-        for (std::size_t i = 0; i < series.sampleCount(); ++i) {
-            const double t_ms = sim::toMs(series.timeAt(i));
+        for (std::size_t i = 0; i < run.timesMs.size(); ++i) {
+            const double t_ms = run.timesMs[i];
             const bool near_fault =
                 (t_ms >= 290 && t_ms <= 370) ||
                 (t_ms >= 590 && t_ms <= 690);
             if (static_cast<int>(t_ms) % 100 != 0 && !near_fault)
                 continue;
             std::printf("%-8.2f", t_ms / 1000.0);
-            for (std::size_t p = 0; p < series.probeCount(); ++p)
-                std::printf(" %8.2f", series.gbpsAt(p, i));
+            for (const obs::SeriesData& s : run.series)
+                std::printf(" %8.2f", s.values[i]);
             if (i < weights.size() && weights[i].size() >= 2)
                 std::printf(" %8.1f %8.1f %10s", weights[i][0],
                             weights[i][1],
@@ -142,10 +146,10 @@ runTimeline(bool monitored, bool print, ObsSession* obs = nullptr)
                 std::fprintf(csv,
                              "time_ms,pf0_gbps,pf1_gbps,app_gbps,"
                              "w0_gbps,w1_gbps\n");
-                for (std::size_t i = 0; i < series.sampleCount(); ++i) {
-                    std::fprintf(csv, "%.3f", sim::toMs(series.timeAt(i)));
-                    for (std::size_t p = 0; p < series.probeCount(); ++p)
-                        std::fprintf(csv, ",%.3f", series.gbpsAt(p, i));
+                for (std::size_t i = 0; i < run.timesMs.size(); ++i) {
+                    std::fprintf(csv, "%.3f", run.timesMs[i]);
+                    for (const obs::SeriesData& s : run.series)
+                        std::fprintf(csv, ",%.3f", s.values[i]);
                     if (i < weights.size() && weights[i].size() >= 2)
                         std::fprintf(csv, ",%.3f,%.3f", weights[i][0],
                                      weights[i][1]);

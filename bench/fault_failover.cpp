@@ -15,7 +15,6 @@
 #include <benchmark/benchmark.h>
 
 #include "common.hpp"
-#include "sim/trace.hpp"
 
 using namespace octo;
 using namespace octo::bench;
@@ -39,31 +38,36 @@ runFailoverTimeline(ObsSession* obs = nullptr)
                                     workloads::StreamDir::ServerRx);
     stream.start();
 
-    sim::TimeSeries series(tb.sim(), sim::fromMs(10));
-    series.addProbe("pf0", [&] { return tb.serverNic().pfRxBytes(0); });
-    series.addProbe("pf1", [&] { return tb.serverNic().pfRxBytes(1); });
-    series.addProbe("app", [&] { return stream.bytesDelivered(); });
-    series.start();
+    // The timeline samples into a private hub and report, so the
+    // ObsSession's exports do not carry it.
+    obs::Hub series_hub;
+    obs::Report series;
+    obs::Sampler sampler(tb.sim(), series_hub, series, sim::fromMs(10));
+    sampler.watchRate("pf0", [&] { return tb.serverNic().pfRxBytes(0); });
+    sampler.watchRate("pf1", [&] { return tb.serverNic().pfRxBytes(1); });
+    sampler.watchRate("app", [&] { return stream.bytesDelivered(); });
+    sampler.start();
     if (obs != nullptr)
         obs->startSampler(tb);
 
     tb.runFor(sim::fromMs(1000));
 
+    const obs::RunData& run = series.runs().front();
     std::printf("\n# octoNIC: PF1 surprise-removed at 0.30 s, "
                 "re-probed at 0.60 s; 10 ms samples\n");
     std::printf("%-8s", "t[s]");
-    for (std::size_t p = 0; p < series.probeCount(); ++p)
-        std::printf(" %8s", series.probeName(p).c_str());
+    for (const obs::SeriesData& s : run.series)
+        std::printf(" %8s", s.name.c_str());
     std::printf("\n");
-    for (std::size_t i = 0; i < series.sampleCount(); ++i) {
-        const double t_ms = sim::toMs(series.timeAt(i));
+    for (std::size_t i = 0; i < run.timesMs.size(); ++i) {
+        const double t_ms = run.timesMs[i];
         const bool near_fault =
             (t_ms >= 280 && t_ms <= 360) || (t_ms >= 580 && t_ms <= 660);
         if (static_cast<int>(t_ms) % 50 != 0 && !near_fault)
             continue;
         std::printf("%-8.2f", t_ms / 1000.0);
-        for (std::size_t p = 0; p < series.probeCount(); ++p)
-            std::printf(" %8.2f", series.gbpsAt(p, i));
+        for (const obs::SeriesData& s : run.series)
+            std::printf(" %8.2f", s.values[i]);
         std::printf("\n");
     }
 

@@ -24,8 +24,9 @@
  *
  * Per pass the bench reports wall ns/record (min over stream chunks,
  * filtering host noise out of the flatness comparison;
- * also cross-checked against the accountant's own OCTO_OBS_SELFCOST
- * timer), resident sketch rows, registry label rows, and evictions.
+ * also cross-checked against the accountant's own self-cost timer,
+ * turned on with setSelfTimed), resident sketch rows, registry label
+ * rows, and evictions.
  * Acceptance (tools/check_obs_scale.py): bounded modes hold rows <=
  * K (+1 registry row for ~other) and flat ns/record across three
  * decades of flow count, while the unbounded mode's rows grow with

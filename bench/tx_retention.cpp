@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "sim/trace.hpp"
 
 using namespace octo;
 using namespace octo::bench;
@@ -52,6 +51,24 @@ struct TxRunResult
      *  core's home ring). */
     std::uint64_t overrides = 0;
 };
+
+/** @p run as one row per sample: `time_ms`, then each series suffixed
+ *  with its unit (`_gbps` or `_per_s`). */
+void
+writeWideCsv(std::FILE* out, const obs::RunData& run)
+{
+    std::fprintf(out, "time_ms");
+    for (const obs::SeriesData& s : run.series)
+        std::fprintf(out, ",%s_%s", s.name.c_str(),
+                     obs::sampleUnitName(s.unit));
+    std::fprintf(out, "\n");
+    for (std::size_t i = 0; i < run.timesMs.size(); ++i) {
+        std::fprintf(out, "%.3f", run.timesMs[i]);
+        for (const obs::SeriesData& s : run.series)
+            std::fprintf(out, ",%.3f", s.values[i]);
+        std::fprintf(out, "\n");
+    }
+}
 
 /** One timeline run. @p tx_rings > 1 gives every core spare Tx-only
  *  rings, making the per-core ring numbering diverge from the
@@ -94,14 +111,20 @@ runTimeline(bool monitored, bool print, ObsSession* obs,
         return total;
     };
 
-    sim::TimeSeries series(tb.sim(), kSample);
-    series.addProbe("pf0_tx", [&] { return tb.serverNic().pfTxBytes(0); });
-    series.addProbe("pf1_tx", [&] { return tb.serverNic().pfTxBytes(1); });
-    series.addProbe("app", app_bytes);
-    series.addProbe("xps_override",
-                    [&] { return tb.serverStack().txQueueOverrides(); },
-                    sim::ProbeUnit::Events);
-    series.start();
+    // The timeline samples into a private hub and report, so the
+    // ObsSession's exports do not carry it.
+    obs::Hub series_hub;
+    obs::Report series;
+    obs::Sampler sampler(tb.sim(), series_hub, series, kSample);
+    sampler.watchRate("pf0_tx",
+                      [&] { return tb.serverNic().pfTxBytes(0); });
+    sampler.watchRate("pf1_tx",
+                      [&] { return tb.serverNic().pfTxBytes(1); });
+    sampler.watchRate("app", app_bytes);
+    sampler.watchRate("xps_override",
+                      [&] { return tb.serverStack().txQueueOverrides(); },
+                      obs::SampleUnit::PerSec);
+    sampler.start();
     if (obs != nullptr)
         obs->startSampler(tb);
 
@@ -116,6 +139,7 @@ runTimeline(bool monitored, bool print, ObsSession* obs,
             degraded_bytes = app_bytes() - mark;
     }
 
+    const obs::RunData& run = series.runs().front();
     if (print) {
         std::printf("\n# octoNIC: PF0 retrained x8->x2 at 0.30 s, "
                     "restored at 0.60 s; %d Tx streams from node 0; "
@@ -123,17 +147,17 @@ runTimeline(bool monitored, bool print, ObsSession* obs,
                     streams, monitored ? "ON" : "OFF");
         std::printf("%-8s %10s %10s %10s %14s\n", "t[s]", "pf0-tx",
                     "pf1-tx", "app", "override/s");
-        for (std::size_t i = 0; i < series.sampleCount(); ++i) {
-            const double t_ms = sim::toMs(series.timeAt(i));
+        for (std::size_t i = 0; i < run.timesMs.size(); ++i) {
+            const double t_ms = run.timesMs[i];
             const bool near_fault =
                 (t_ms >= 290 && t_ms <= 370) ||
                 (t_ms >= 590 && t_ms <= 690);
             if (static_cast<int>(t_ms) % 100 != 0 && !near_fault)
                 continue;
             std::printf("%-8.2f %10.2f %10.2f %10.2f %14.0f\n",
-                        t_ms / 1000.0, series.gbpsAt(0, i),
-                        series.gbpsAt(1, i), series.gbpsAt(2, i),
-                        series.ratePerSecAt(3, i));
+                        t_ms / 1000.0, run.series[0].values[i],
+                        run.series[1].values[i], run.series[2].values[i],
+                        run.series[3].values[i]);
         }
         std::printf("# tx-overrides=%llu resteers=%llu\n",
                     static_cast<unsigned long long>(
@@ -143,7 +167,7 @@ runTimeline(bool monitored, bool print, ObsSession* obs,
 
         if (monitored) {
             if (std::FILE* csv = std::fopen("tx_retention.csv", "w")) {
-                series.writeCsv(csv);
+                writeWideCsv(csv, run);
                 std::fclose(csv);
             }
         }

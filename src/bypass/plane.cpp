@@ -20,9 +20,7 @@ constexpr int kE2eTid = 999;
 // ------------------------------------------------------------- PollPort
 
 PollPort::PollPort(PollPlane& plane, int idx, topo::Core& core, int qid)
-    : plane_(plane), idx_(idx), qid_(qid), core_(core),
-      rxFrames_(core.sim()), rxBytes_(core.sim()),
-      txFrames_(core.sim()), txBytes_(core.sim())
+    : plane_(plane), idx_(idx), qid_(qid), core_(core)
 {
     core_.addBusyDebtor(&settleHook, this);
 }

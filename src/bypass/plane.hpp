@@ -38,7 +38,6 @@
 #include "bypass/mempool.hpp"
 #include "nic/device.hpp"
 #include "obs/dma.hpp"
-#include "obs/sharded.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
 #include "steer/plane.hpp"
@@ -194,12 +193,10 @@ class PollPort
     mutable std::uint64_t settledSteps_ = 0; ///< Parked polls charged.
     /// Dispatch that last returned an empty burst (eventsProcessed()).
     std::uint64_t idleDispatch_ = ~std::uint64_t{0};
-    // Burst-hot frame/byte counters shard per domain node
-    // (obs::ShardedCounter); readers fold the exact total.
-    obs::ShardedCounter rxFrames_;
-    obs::ShardedCounter rxBytes_;
-    obs::ShardedCounter txFrames_;
-    obs::ShardedCounter txBytes_;
+    sim::Counter rxFrames_;
+    sim::Counter rxBytes_;
+    sim::Counter txFrames_;
+    sim::Counter txBytes_;
     std::uint64_t txReaped_ = 0;
 };
 

@@ -67,15 +67,15 @@ class Injector
     bool done() const { return done_; }
 
     /** Events applied so far, total and per kind. */
-    std::uint64_t applied() const { return applied_.value(); }
+    std::uint64_t applied() const { return applied_.total(); }
     std::uint64_t
     appliedOf(FaultKind k) const
     {
-        return perKind_.at(static_cast<std::size_t>(k)).value();
+        return perKind_.at(static_cast<std::size_t>(k)).total();
     }
 
     /** Events whose target object was absent. */
-    std::uint64_t skipped() const { return skipped_.value(); }
+    std::uint64_t skipped() const { return skipped_.total(); }
 
   private:
     sim::Task<> run();

@@ -34,8 +34,8 @@
 #include "nic/packet.hpp"
 #include "nic/wire.hpp"
 #include "obs/dma.hpp"
-#include "obs/sharded.hpp"
 #include "pcie/function.hpp"
+#include "sim/stats.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
 #include "topo/machine.hpp"
@@ -89,7 +89,7 @@ struct NicQueue
         : id(id_), irqCore(irq_core), pf(pf_), homePf(pf_),
           bufNode(irq_core->node()), rxCq(sim, ring_entries),
           txRing(sim, ring_entries), txCq(sim, 4 * ring_entries),
-          rxCredits(sim, ring_entries), rxFrames(sim), txFrames(sim)
+          rxCredits(sim, ring_entries)
     {
     }
 
@@ -115,8 +115,8 @@ struct NicQueue
                            ///< so each re-arm is a zero-setup schedule.
     bool polled = false; ///< Bypass mode: never raise interrupts; a
                          ///< busy-poll port harvests both CQs directly.
-    obs::ShardedCounter rxFrames; ///< Sharded per domain node; read via
-    obs::ShardedCounter txFrames; ///< total() (exact fold).
+    sim::Counter rxFrames;
+    sim::Counter txFrames;
     std::uint64_t rxReaped = 0; ///< Completions processed by softirq.
 };
 

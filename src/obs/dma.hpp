@@ -10,7 +10,7 @@
  * PCIe layer below cannot know.
  *
  * Attribution is a Space-Saving top-K heavy-hitter sketch
- * (obs::SpaceSaving, K = OCTO_FLOW_TOPK, default 64) per device: the
+ * (obs::SpaceSaving, K = Hub::flowTopK(), default 64) per device: the
  * K heaviest flows own labeled rows {dev, flow} of five counters,
  * exported exactly as when every flow had a registry row —
  *
@@ -39,7 +39,7 @@
  * observables from day one.
  *
  * Self-cost: records and evictions are counted (obs_attr_records_total,
- * flow_evictions_total, flow_rows gauge), and with OCTO_OBS_SELFCOST=1
+ * flow_evictions_total, flow_rows gauge), and after setSelfTimed(true)
  * the attribution path times itself (wall ns into obs_attr_ns_total) —
  * the proof obligation that bounded attribution stays O(1) per record
  * at million-flow churn. Wall-clock never feeds simulated state, so
@@ -52,8 +52,6 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -67,20 +65,16 @@ namespace octo::obs {
 class DmaAccountant
 {
   public:
-    /** Built-in sketch capacity when OCTO_FLOW_TOPK is unset. */
-    static constexpr int kDefaultTopK = 64;
-
     /** @param hub  Null makes every record() a no-op.
      *  @param dev  Device label stamped on every flow row.
-     *  @param top_k Sketch capacity; <= 0 reads OCTO_FLOW_TOPK (falls
-     *               back to kDefaultTopK). */
+     *  @param top_k Sketch capacity; <= 0 takes the hub's flowTopK(). */
     DmaAccountant(Hub* hub, std::string dev, int top_k = 0)
         : reg_(hub != nullptr ? &hub->metrics() : nullptr),
           dev_(std::move(dev)),
-          exact_(top_k <= 0 && exactRequested()),
           sketch_(static_cast<std::size_t>(
-              top_k > 0 ? top_k : (exact_ ? 1 : defaultTopK()))),
-          timed_(envOn("OCTO_OBS_SELFCOST"))
+              top_k > 0 ? top_k
+                        : (hub != nullptr ? hub->flowTopK()
+                                          : Hub::kDefaultTopK)))
     {
         if (reg_ == nullptr)
             return;
@@ -131,28 +125,19 @@ class DmaAccountant
         const std::uint64_t t0 = timed_ ? nowNs() : 0;
         ++records_;
 
-        if (exact_) {
-            // OCTO_FLOW_TOPK=0: sketch disabled, one exact row per
-            // flow, unbounded — no evictions, no ~other, no error.
-            auto [it, fresh] = exactRows_.try_emplace(key);
-            if (fresh)
-                it->second.label = label();
-            apply(it->second.c, bytes, local, ddio_hit);
-        } else {
-            Sketch::Outcome out;
-            FlowCell& c = sketch_.update(key, bytes, out, displaced_);
-            switch (out) {
-              case Sketch::Outcome::Updated:
-                break;
-              case Sketch::Outcome::Replaced:
-                fold(displaced_.payload);
-                [[fallthrough]];
-              case Sketch::Outcome::Admitted:
-                c.label = label();
-                break;
-            }
-            apply(c.c, bytes, local, ddio_hit);
+        Sketch::Outcome out;
+        FlowCell& c = sketch_.update(key, bytes, out, displaced_);
+        switch (out) {
+          case Sketch::Outcome::Updated:
+            break;
+          case Sketch::Outcome::Replaced:
+            fold(displaced_.payload);
+            [[fallthrough]];
+          case Sketch::Outcome::Admitted:
+            c.label = label();
+            break;
         }
+        apply(c.c, bytes, local, ddio_hit);
 
         if (tenant >= 0)
             apply(tenantRow(tenant), bytes, local, ddio_hit);
@@ -160,60 +145,24 @@ class DmaAccountant
             selfNs_ += nowNs() - t0;
     }
 
-    /** Resident attribution rows: sketch occupancy (<= topK()), or
-     *  the exact flow count in exact mode. */
-    std::size_t
-    flowCount() const
-    {
-        return exact_ ? exactRows_.size() : sketch_.size();
-    }
+    /** Resident attribution rows: sketch occupancy (<= topK()). */
+    std::size_t flowCount() const { return sketch_.size(); }
 
     /** Flows displaced from the sketch into the ~other row (always 0
-     *  in exact mode — nothing is ever displaced). */
+     *  while the live-flow count stays within topK()). */
     std::uint64_t evictions() const { return sketch_.evictions(); }
 
-    /** Sketch capacity; 0 means exact (unbounded) mode. */
-    int
-    topK() const
-    {
-        return exact_ ? 0 : static_cast<int>(sketch_.capacity());
-    }
-
-    /** OCTO_FLOW_TOPK=0 exact mode in effect on this accountant. */
-    bool exactMode() const { return exact_; }
+    /** Sketch capacity. */
+    int topK() const { return static_cast<int>(sketch_.capacity()); }
 
     /** Attribution calls accepted (both sketch and rollup paths). */
     std::uint64_t selfRecords() const { return records_; }
 
-    /** Wall ns spent in record(); 0 unless OCTO_OBS_SELFCOST=1. */
+    /** Wall ns spent in record(); 0 unless setSelfTimed(true). */
     std::uint64_t selfNs() const { return selfNs_; }
 
-    /** Force the self-cost timer on/off (benches override the env). */
+    /** Turn the self-cost timer on or off. */
     void setSelfTimed(bool on) { timed_ = on; }
-
-    /** Sketch capacity from OCTO_FLOW_TOPK, or kDefaultTopK. */
-    static int
-    defaultTopK()
-    {
-        if (const char* env = std::getenv("OCTO_FLOW_TOPK")) {
-            const int k = std::atoi(env);
-            if (k > 0)
-                return k;
-        }
-        return kDefaultTopK;
-    }
-
-    /** True when OCTO_FLOW_TOPK is exactly "0": disable the sketch and
-     *  keep one exact row per flow, unbounded. Debug scales only —
-     *  state grows with live-flow count, which is the very cost the
-     *  sketch exists to avoid. Garbage values still mean the default
-     *  capacity, not exact mode. */
-    static bool
-    exactRequested()
-    {
-        const char* env = std::getenv("OCTO_FLOW_TOPK");
-        return env != nullptr && std::strcmp(env, "0") == 0;
-    }
 
   private:
     /** Counter columns of one attribution row, in family name order. */
@@ -241,13 +190,6 @@ class DmaAccountant
     };
 
     using Sketch = SpaceSaving<FlowCell>;
-
-    static bool
-    envOn(const char* name)
-    {
-        const char* env = std::getenv(name);
-        return env != nullptr && env[0] != '\0' && env[0] != '0';
-    }
 
     static std::uint64_t
     nowNs()
@@ -292,14 +234,9 @@ class DmaAccountant
     void
     visit(const RowFamily::RowFn& fn) const
     {
-        if (exact_) {
-            for (const auto& [key, c] : exactRows_)
-                fn(c.label, c.c.data());
-        } else {
-            for (std::size_t i = 0; i < sketch_.size(); ++i) {
-                const FlowCell& c = sketch_.payload(i);
-                fn(c.label, c.c.data());
-            }
+        for (std::size_t i = 0; i < sketch_.size(); ++i) {
+            const FlowCell& c = sketch_.payload(i);
+            fn(c.label, c.c.data());
         }
         if (sketch_.evictions() > 0)
             fn(other_.label, other_.c.data());
@@ -326,15 +263,13 @@ class DmaAccountant
 
     MetricRegistry* reg_;
     std::string dev_;
-    bool exact_;
     Sketch sketch_;
-    std::unordered_map<std::uint64_t, FlowCell> exactRows_;
     FlowCell other_;
     Sketch::Entry displaced_; ///< update()'s hand-back slot.
     std::unordered_map<int, Row> tenants_;
     std::uint64_t records_ = 0;
     std::uint64_t selfNs_ = 0;
-    bool timed_;
+    bool timed_ = false;
     /** Last member: destroyed first, it materializes the rows above
      *  into the registry while they are still alive. */
     std::optional<RowFamily> rows_;

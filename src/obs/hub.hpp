@@ -35,8 +35,17 @@ class Hub
     Hub(const Hub&) = delete;
     Hub& operator=(const Hub&) = delete;
 
+    /** Built-in sketch capacity of flow attribution (flowTopK()). */
+    static constexpr int kDefaultTopK = 64;
+
     MetricRegistry& metrics() { return metrics_; }
     Tracer& tracer() { return tracer_; }
+
+    /** Top-K sketch capacity of every obs::DmaAccountant built against
+     *  this hub afterwards: at most this many labeled flow rows per
+     *  device, the rest folded into `~other`. */
+    int flowTopK() const { return flowTopK_; }
+    void setFlowTopK(int k) { flowTopK_ = k; }
 
     /**
      * Tag subsequently created metrics and pids with @p run (a preset
@@ -77,6 +86,7 @@ class Hub
     std::string run_;
     std::map<std::string, int> pids_;
     int nextPid_ = 1;
+    int flowTopK_ = kDefaultTopK;
 };
 
 /** The hub attached to @p sim, or null. */

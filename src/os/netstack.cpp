@@ -45,21 +45,21 @@ NetStack::NetStack(topo::Machine& machine, nic::NicDevice& device,
         reg.counterFn("net_steering_expiries", l,
                       [this] { return steeringExpiries_; });
         reg.counterFn("net_tx_queue_overrides", l,
-                      [this] { return txQueueOverrides_.value(); });
+                      [this] { return txQueueOverrides_.total(); });
         reg.counterFn("net_health_resteers", l,
-                      [this] { return healthResteers_.value(); });
+                      [this] { return healthResteers_.total(); });
         reg.counterFn("net_pf_failovers", l,
-                      [this] { return pfFailovers_.value(); });
+                      [this] { return pfFailovers_.total(); });
         reg.counterFn("net_pf_rebalances", l,
-                      [this] { return pfRebalances_.value(); });
+                      [this] { return pfRebalances_.total(); });
         reg.counterFn("net_admin_drains", l,
-                      [this] { return adminDrains_.value(); });
+                      [this] { return adminDrains_.total(); });
         reg.counterFn("net_lost_bytes", l,
-                      [this] { return lostBytes_.value(); });
+                      [this] { return lostBytes_.total(); });
         reg.counterFn("net_reclaimed_bytes", l,
-                      [this] { return reclaimedBytes_.value(); });
+                      [this] { return reclaimedBytes_.total(); });
         reg.counterFn("net_watchdog_polls", l,
-                      [this] { return watchdogPolls_.value(); });
+                      [this] { return watchdogPolls_.total(); });
         obRxBatch_ = &reg.histogram("softirq_rx_batch_frames", l);
         obE2e_ = &reg.histogram("latency_e2e_ns", l);
         tracePid_ = h->pidFor(device_.name());

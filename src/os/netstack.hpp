@@ -210,7 +210,7 @@ class NetStack : public nic::NicSink, public steer::SteerablePlane
     std::uint64_t
     resteersPerformed() const override
     {
-        return healthResteers_.value();
+        return healthResteers_.total();
     }
 
     /**
@@ -264,45 +264,45 @@ class NetStack : public nic::NicSink, public steer::SteerablePlane
     std::uint64_t flowPlacements() const { return flowPlacements_; }
 
     /** Queues failed over to a surviving PF / rebalanced back home. */
-    std::uint64_t pfFailovers() const { return pfFailovers_.value(); }
-    std::uint64_t pfRebalances() const { return pfRebalances_.value(); }
+    std::uint64_t pfFailovers() const { return pfFailovers_.total(); }
+    std::uint64_t pfRebalances() const { return pfRebalances_.total(); }
 
     /** Health-driven weighted queue re-steers (each resteerQueue call
      *  that actually rebound a queue). */
-    std::uint64_t healthResteers() const { return healthResteers_.value(); }
+    std::uint64_t healthResteers() const { return healthResteers_.total(); }
 
     /** Tx posts redirected off a down-weighted PF by the health-aware
      *  XPS pick. */
     std::uint64_t
     txQueueOverrides() const
     {
-        return txQueueOverrides_.value();
+        return txQueueOverrides_.total();
     }
 
     /** Administrative endpoint drains requested through the plane. */
-    std::uint64_t adminDrains() const { return adminDrains_.value(); }
+    std::uint64_t adminDrains() const { return adminDrains_.total(); }
 
     /** Blocking driver operations cut short by the steering watchdog
      *  (stalled queue refused to drain in time). */
     std::uint64_t
     steerWatchdogFires() const
     {
-        return steerWatchdogFires_.value();
+        return steerWatchdogFires_.total();
     }
 
     /** Device-loss accounting (see Socket loss ledger). */
-    std::uint64_t lostFrames() const { return lostFrames_.value(); }
-    std::uint64_t lostBytes() const { return lostBytes_.value(); }
+    std::uint64_t lostFrames() const { return lostFrames_.total(); }
+    std::uint64_t lostBytes() const { return lostBytes_.total(); }
     std::uint64_t reclaimedBytes() const
     {
-        return reclaimedBytes_.value();
+        return reclaimedBytes_.total();
     }
-    std::uint64_t retryReclaims() const { return retryReclaims_.value(); }
+    std::uint64_t retryReclaims() const { return retryReclaims_.total(); }
 
     /** Interrupt-fault accounting. */
-    std::uint64_t irqsDelayed() const { return irqsDelayed_.value(); }
-    std::uint64_t irqsDropped() const { return irqsDropped_.value(); }
-    std::uint64_t watchdogPolls() const { return watchdogPolls_.value(); }
+    std::uint64_t irqsDelayed() const { return irqsDelayed_.total(); }
+    std::uint64_t irqsDropped() const { return irqsDropped_.total(); }
+    std::uint64_t watchdogPolls() const { return watchdogPolls_.total(); }
 
   private:
     sim::Task<> softirqRx(int qid);
@@ -356,10 +356,8 @@ class NetStack : public nic::NicSink, public steer::SteerablePlane
     std::unordered_map<nic::FiveTuple, Socket*> demux_;
     std::vector<std::unique_ptr<Socket>> sockets_;
 
-    // Softirq-hot counters shard per domain node (obs::ShardedCounter);
-    // readers fold the exact total.
-    obs::ShardedCounter rxPackets_{sim_};
-    obs::ShardedCounter rxBytesDelivered_{sim_};
+    sim::Counter rxPackets_;
+    sim::Counter rxBytesDelivered_;
     std::uint64_t unmatched_ = 0;
     std::uint64_t steeringUpdates_ = 0;
     std::uint64_t steeringExpiries_ = 0;

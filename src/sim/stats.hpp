@@ -19,8 +19,7 @@ class Counter
 {
   public:
     void add(std::uint64_t n = 1) { value_ += n; }
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
+    std::uint64_t total() const { return value_; }
 
   private:
     std::uint64_t value_ = 0;

@@ -7,7 +7,6 @@
  */
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -15,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/testbed.hpp"
+#include "nvme/driver.hpp"
 #include "obs/dma.hpp"
 #include "obs/flow_sketch.hpp"
 #include "obs/hub.hpp"
@@ -203,8 +203,8 @@ TEST(DmaAccountant, MetaInstrumentsTrackSketchState)
               1u);
     EXPECT_EQ(reg.findCounter("obs_attr_records_total", dev)->value(),
               3u);
-    // Self-cost ns stays zero unless OCTO_OBS_SELFCOST opts in — wall
-    // time must never leak into deterministic exports by default.
+    // Self-cost ns stays zero unless setSelfTimed opts in — wall time
+    // must never leak into deterministic exports by default.
     EXPECT_EQ(acc.selfNs(), 0u);
     EXPECT_EQ(acc.selfRecords(), 3u);
 }
@@ -234,13 +234,12 @@ TEST(DmaAccountant, SketchSizeDoesNotPerturbResults)
     // The same run with a tiny sketch (heavy eviction), a huge sketch
     // (old unbounded behavior), and no hub at all must produce
     // bit-identical simulated outcomes.
-    setenv("OCTO_FLOW_TOPK", "1", 1);
     Hub tiny_hub;
+    tiny_hub.setFlowTopK(1);
     const std::uint64_t tiny = runIoctopus(&tiny_hub);
-    setenv("OCTO_FLOW_TOPK", "1048576", 1);
     Hub huge_hub;
+    huge_hub.setFlowTopK(1048576);
     const std::uint64_t huge = runIoctopus(&huge_hub);
-    unsetenv("OCTO_FLOW_TOPK");
     const std::uint64_t off = runIoctopus(nullptr);
 
     EXPECT_GT(off, 0u);
@@ -248,20 +247,17 @@ TEST(DmaAccountant, SketchSizeDoesNotPerturbResults)
     EXPECT_EQ(off, huge);
 }
 
-TEST(DmaAccountant, TopkZeroDisablesSketchForExactRows)
+TEST(DmaAccountant, TopkAtFlowCountKeepsExactRows)
 {
-    // OCTO_FLOW_TOPK=0 opts out of the sketch entirely: one exact row
-    // per flow, no evictions, no ~other folding — and conservation
-    // holds trivially because nothing is ever displaced.
-    setenv("OCTO_FLOW_TOPK", "0", 1);
-    Hub hub;
-    DmaAccountant acc(&hub, "nic0");
-    unsetenv("OCTO_FLOW_TOPK");
-
-    ASSERT_TRUE(acc.exactMode());
-    EXPECT_EQ(acc.topK(), 0);
-
+    // A capacity no smaller than the live-flow count never evicts: one
+    // exact row per flow, no ~other folding — and conservation holds
+    // trivially because nothing is ever displaced.
     constexpr int kFlows = 500;
+    Hub hub;
+    hub.setFlowTopK(kFlows);
+    DmaAccountant acc(&hub, "nic0");
+    EXPECT_EQ(acc.topK(), kFlows);
+
     std::uint64_t local_ref = 0, remote_ref = 0;
     sim::Rng rng(11);
     for (int i = 0; i < 5000; ++i) {
@@ -285,23 +281,42 @@ TEST(DmaAccountant, TopkZeroDisablesSketchForExactRows)
     EXPECT_EQ(reg.sumCounters("flow_dma_local_bytes",
                               {{"dev", "nic0"}, {"flow", "~other"}}),
               0u)
-        << "exact mode must never fold into ~other";
-    // The meta gauges advertise the mode: unbounded rows, capacity 0.
+        << "a sketch that never evicts must never fold into ~other";
     EXPECT_EQ(reg.findGauge("flow_rows", dev)->value(),
               static_cast<double>(kFlows));
-    EXPECT_EQ(reg.findGauge("flow_topk", dev)->value(), 0.0);
+    EXPECT_EQ(reg.findGauge("flow_topk", dev)->value(),
+              static_cast<double>(kFlows));
 }
 
-TEST(DmaAccountant, TopkGarbageStillMeansDefaultCapacity)
+/** Sketch capacity of the server NIC, poll-plane and NVMe accountants
+ *  built against @p hub. */
+std::vector<int>
+accountantTopKs(Hub& hub)
 {
-    // Only the literal "0" selects exact mode; unparsable values fall
-    // back to the built-in capacity instead of silently unbounding.
-    setenv("OCTO_FLOW_TOPK", "bogus", 1);
-    Hub hub;
-    DmaAccountant acc(&hub, "nic0");
-    unsetenv("OCTO_FLOW_TOPK");
-    EXPECT_FALSE(acc.exactMode());
-    EXPECT_EQ(acc.topK(), DmaAccountant::kDefaultTopK);
+    core::TestbedConfig cfg;
+    cfg.mode = core::ServerMode::Ioctopus;
+    cfg.bypass = true;
+    cfg.hub = &hub;
+    core::Testbed tb(cfg);
+    nvme::NvmeDevice ssd(tb.server(), 0, 4, "ssd");
+    nvme::NvmeDriver drv(ssd);
+    std::vector<int> k = {tb.serverNic().flows().topK(),
+                          tb.serverPoll()->flows().topK(),
+                          drv.flows().topK()};
+    hub.metrics().freeze();
+    return k;
+}
+
+TEST(DmaAccountant, HubTopkReachesEveryAccountant)
+{
+    Hub defaults;
+    EXPECT_EQ(defaults.flowTopK(), Hub::kDefaultTopK);
+    EXPECT_EQ(accountantTopKs(defaults),
+              std::vector<int>(3, Hub::kDefaultTopK));
+
+    Hub set;
+    set.setFlowTopK(7);
+    EXPECT_EQ(accountantTopKs(set), std::vector<int>(3, 7));
 }
 
 TEST(DmaAccountant, FlowRowsMatchPfRowsOnTestbed)
@@ -309,10 +324,9 @@ TEST(DmaAccountant, FlowRowsMatchPfRowsOnTestbed)
     // Conservation at system grain: the NIC's flow-grain byte rows
     // (including ~other) must exactly equal its PF-grain rows, even
     // with a sketch small enough to churn.
-    setenv("OCTO_FLOW_TOPK", "2", 1);
     Hub hub;
+    hub.setFlowTopK(2);
     runIoctopus(&hub);
-    unsetenv("OCTO_FLOW_TOPK");
 
     MetricRegistry& reg = hub.metrics();
     const Labels nic = {{"dev", "octoNIC"}};
