@@ -138,8 +138,9 @@ TEST(Storm, RespectsTargetPopulation)
     for (const auto& ev : plan.events()) {
         EXPECT_NE(ev.kind, FaultKind::NvmeDoorbellStuck);
         EXPECT_NE(ev.kind, FaultKind::NvmeCqStall);
-        if (ev.kind == FaultKind::QueueStall)
+        if (ev.kind == FaultKind::QueueStall) {
             EXPECT_LT(ev.target, 4);
+        }
     }
 }
 
