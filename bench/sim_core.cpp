@@ -11,6 +11,9 @@
  *                   overflow heap, exercising cascade and admission.
  *  - periodic:      many schedulePeriodic cadences firing together.
  *  - coroutine:     delay-loop resume path through pooled frames.
+ *  - grid_park:     idle pollers parked on the poll grid while real
+ *                   traffic runs, with a steady trickle of wakes and
+ *                   re-parks (Simulator::parkOnGrid).
  *
  * Each benchmark reports events/sec ("ev_per_s"); the CI floor check
  * (tools/check_sim_core.py) pins a minimum on the hot paths so an
@@ -18,6 +21,7 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <coroutine>
 #include <cstdint>
 #include <vector>
 
@@ -28,6 +32,7 @@
 namespace {
 
 using octo::sim::EventRef;
+using octo::sim::GridPark;
 using octo::sim::Simulator;
 using octo::sim::Task;
 using octo::sim::Tick;
@@ -223,6 +228,96 @@ BM_CoroutineResume(benchmark::State& state)
     reportEvents(state, total);
 }
 BENCHMARK(BM_CoroutineResume);
+
+constexpr Tick kGridPeriod = 25'000;
+
+/** Parks the awaiting poller on the grid; false (no suspend) when the
+ *  grid refuses, and the poller steps instead. */
+struct GridParkAwait
+{
+    Simulator& sim;
+    GridPark* park;
+    bool parked = false;
+
+    bool await_ready() const noexcept { return false; }
+
+    template <typename P>
+    bool
+    await_suspend(std::coroutine_handle<P> h)
+    {
+        *park = sim.parkOnGrid(h, &h.promise(), kGridPeriod, nullptr,
+                               nullptr);
+        parked = park->valid();
+        return parked;
+    }
+
+    bool await_resume() const noexcept { return parked; }
+};
+
+/**
+ * N pollers parked on the poll grid over four phases while chains of
+ * real events run, about one per period; every fourth event
+ * wakes one poller, which steps once and parks again. A woken poller
+ * is back on the grid long before the next wake, so every N runs the
+ * same mix of dispatches, parks and wakes. Per-park, per-wake and
+ * per-dispatch grid cost must not grow with N: tools/check_sim_core.py
+ * holds /64 to a fraction of /1.
+ */
+void
+BM_GridPark(benchmark::State& state)
+{
+    const int pollers = static_cast<int>(state.range(0));
+    constexpr Tick kPeriod = kGridPeriod;
+    constexpr std::uint64_t kEventsPerIter = 200000;
+    std::uint64_t total = 0;
+    for (auto _ : state) {
+        Simulator sim;
+        std::vector<GridPark> parks(static_cast<std::size_t>(pollers));
+        auto poller = [](Simulator& s, GridPark& park,
+                         Tick offset) -> Task<> {
+            co_await octo::sim::delay(s, kPeriod + offset);
+            for (;;) {
+                co_await GridParkAwait{s, &park};
+                co_await octo::sim::delay(s, kPeriod);
+            }
+        };
+        std::vector<Task<>> tasks;
+        for (int i = 0; i < pollers; ++i) {
+            tasks.push_back(poller(sim, parks[static_cast<std::size_t>(i)],
+                                   (i % 4) * (kPeriod / 4)));
+        }
+        Rng rng;
+        std::uint64_t left = kEventsPerIter;
+        struct Traffic
+        {
+            Simulator& sim;
+            std::vector<GridPark>& parks;
+            std::uint64_t& left;
+            Rng& rng;
+            void
+            operator()() const
+            {
+                if (left == 0)
+                    return;
+                --left;
+                const std::uint64_t r = rng.next();
+                if ((left & 3) == 0) {
+                    GridPark& p = parks[r % parks.size()];
+                    if (p.valid())
+                        sim.unparkFromGrid(p);
+                }
+                sim.scheduleIn(static_cast<Tick>((r >> 16) % (4 * kPeriod)),
+                               *this);
+            }
+        };
+        for (int c = 0; c < 2; ++c)
+            sim.scheduleIn(c, Traffic{sim, parks, left, rng});
+        sim.run();
+        total += sim.eventsProcessed();
+    }
+    reportEvents(state, total);
+}
+BENCHMARK(BM_GridPark)->Arg(1)->Arg(16)->Arg(64);
 
 } // namespace
 
