@@ -231,27 +231,23 @@ BENCHMARK(BM_CoroutineResume);
 
 constexpr Tick kGridPeriod = 25'000;
 
-/** Parks the awaiting poller on the grid; false (no suspend) when the
- *  grid refuses, and the poller steps instead. */
+/** Parks the awaiting poller on the grid. */
 struct GridParkAwait
 {
     Simulator& sim;
     GridPark* park;
-    bool parked = false;
 
     bool await_ready() const noexcept { return false; }
 
     template <typename P>
-    bool
+    void
     await_suspend(std::coroutine_handle<P> h)
     {
         *park = sim.parkOnGrid(h, &h.promise(), kGridPeriod, nullptr,
                                nullptr);
-        parked = park->valid();
-        return parked;
     }
 
-    bool await_resume() const noexcept { return parked; }
+    void await_resume() const noexcept {}
 };
 
 /**

@@ -35,33 +35,28 @@ PollPort::~PollPort()
     }
 }
 
-/** Suspends an idle rxBurst on the poll grid (Simulator::parkOnGrid):
- *  one grid step per skipped empty poll, holding the core mutex.
- *  Yields false, without suspending, when the grid cannot take it. */
+/** Suspends an idle rxBurst on the poll grid (Simulator::parkOnGrid),
+ *  which always takes it: one grid step per skipped empty poll,
+ *  holding the core mutex. */
 struct PollPort::Park
 {
     PollPort& port;
-    bool parked = false;
 
     bool await_ready() const noexcept { return false; }
 
     template <typename P>
-    bool
+    void
     await_suspend(std::coroutine_handle<P> h)
     {
         PollPlane& pl = port.plane_;
         port.park_ = pl.sim_.parkOnGrid(
             h, &h.promise(), pl.machine_.cal().bypassEmptyPoll,
             &PollPort::settleHook, &port);
-        parked = port.park_.valid();
-        if (parked) {
-            port.settledSteps_ = 0;
-            port.core_.mutex().onContention(&PollPort::wakeHook, &port);
-        }
-        return parked;
+        port.settledSteps_ = 0;
+        port.core_.mutex().onContention(&PollPort::wakeHook, &port);
     }
 
-    bool await_resume() const noexcept { return parked; }
+    void await_resume() const noexcept {}
 };
 
 void
@@ -174,8 +169,8 @@ PollPort::rxBurst(RxPacket* out, int max)
         // so nobody contends for the core): park instead of stepping.
         // We resume at the grid instant that finishes the poll which
         // discovers new work.
-        if (idleDispatch_ == pl.sim_.eventsProcessed() &&
-            co_await Park{*this}) {
+        if (idleDispatch_ == pl.sim_.eventsProcessed()) {
+            co_await Park{*this};
             t0 = pl.sim_.now() - cal.bypassEmptyPoll;
         } else {
             co_await delay(pl.sim_, cal.bypassEmptyPoll);
@@ -597,7 +592,7 @@ PollPlane::drainQueue(int qid)
     // the watchdog when the poller is wedged or absent.
     nic::NicQueue& q = device_.queue(qid);
     const std::uint64_t target = q.rxReaped + q.rxCq.size();
-    const Tick deadline = sim_.now() + cfg_.steerWatchdog;
+    const Tick deadline = sim_.now() + steer::kSteerWatchdog;
     while (q.rxReaped < target) {
         if (sim_.now() >= deadline) {
             ++watchdogFires_;
@@ -663,7 +658,7 @@ PollPlane::probe(int pf_idx)
     d.completionSem = &done;
     d.sentAt = sim_.now();
     co_await device_.postTx(qid, d);
-    const Tick deadline = sim_.now() + cfg_.steerWatchdog;
+    const Tick deadline = sim_.now() + steer::kSteerWatchdog;
     while (!done.tryAcquire()) {
         if (sim_.now() >= deadline)
             co_return false;

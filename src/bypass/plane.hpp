@@ -62,9 +62,6 @@ struct BypassConfig
      *  harvested buffers the application may hold before Rx-ring
      *  refills start failing. */
     int extraBufsPerPort = 1024;
-
-    /** Drain watchdog bound (same role as NetStack's steerWatchdog). */
-    Tick steerWatchdog = sim::fromMs(5);
 };
 
 /** One harvested packet: the frame plus its zero-copy buffer. The
@@ -285,11 +282,6 @@ class PollPlane : public nic::NicSink, public steer::SteerablePlane
      *  its steering table — no kernel worker to model). */
     bool placeFlow(const nic::FiveTuple& flow, int qid) override;
     void unplaceFlow(const nic::FiveTuple& flow) override;
-    int
-    flowQueue(const nic::FiveTuple& flow) const override
-    {
-        return device_.classify(flow);
-    }
     bool queueDmaLocal(int qid) const override;
 
     /** Scheme-driven placeFlow() rules written. */

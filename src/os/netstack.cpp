@@ -22,6 +22,13 @@ namespace {
  *  netdev process keeps them out of the per-queue softirq rows). */
 constexpr int kE2eTid = 999;
 
+/** NAPI poll budget per core-hold (packets). */
+constexpr int kRxBudget = 64;
+
+/** Delay between a PF hot-unplug/re-probe event and the team driver
+ *  acting on it (AER + hotplug handling latency). */
+constexpr Tick kTeamFailoverDelay = sim::fromMs(1);
+
 } // namespace
 
 NetStack::NetStack(topo::Machine& machine, nic::NicDevice& device,
@@ -263,7 +270,7 @@ NetStack::recv(ThreadCtx& t, Socket& sock, std::uint64_t bytes)
 
     // ARFS: the kernel notices the consuming thread's CPU on each recv
     // and asks the driver to re-steer the flow when it moved (§2.3).
-    if (cfg_.autoSteer && sock.lastRxCore != t.core().id()) {
+    if (sock.lastRxCore != t.core().id()) {
         flowMoved(sock, t.core());
         sock.lastRxCore = t.core().id();
     }
@@ -467,7 +474,7 @@ NetStack::pfStateChanged(int pf_idx, bool up)
     // Surprise removal surfaces through AER/hotplug with a detection
     // latency; the driver reacts only then. State is re-checked at apply
     // time in case the event was superseded (flap).
-    sim_.scheduleIn(cfg_.teamFailoverDelay,
+    sim_.scheduleIn(kTeamFailoverDelay,
                     [this, pf_idx, up] { applyPfEvent(pf_idx, up); });
 }
 
@@ -556,7 +563,7 @@ NetStack::drainQueue(int qid)
     // watchdog converts "wedged driver" into "bounded reordering risk".
     nic::NicQueue& q = device_.queue(qid);
     const std::uint64_t target = q.rxReaped + q.rxCq.size();
-    const Tick deadline = sim_.now() + cfg_.steerWatchdog;
+    const Tick deadline = sim_.now() + steer::kSteerWatchdog;
     while (q.rxReaped < target) {
         if (sim_.now() >= deadline) {
             steerWatchdogFires_.add();
@@ -620,7 +627,7 @@ NetStack::probe(int pf_idx)
     d.completionSem = &done;
     d.sentAt = sim_.now();
     co_await device_.postTx(qid, d);
-    const Tick deadline = sim_.now() + cfg_.steerWatchdog;
+    const Tick deadline = sim_.now() + steer::kSteerWatchdog;
     while (!done.tryAcquire()) {
         if (sim_.now() >= deadline)
             co_return false;
@@ -777,8 +784,7 @@ NetStack::softirqRx(int qid)
 
         // GRO: merge immediately-following in-order frames of the same
         // flow into one segment before handing it to the stack.
-        while (merged < cal.groMaxBytes && in_hold + frames <
-                                               cfg_.rxBudget) {
+        while (merged < cal.groMaxBytes && in_hold + frames < kRxBudget) {
             const RxCompletion* next = q.rxCq.peek();
             if (next == nullptr || !(next->frame.flow == comp.frame.flow) ||
                 next->frame.seq != comp.frame.seq + frames ||
@@ -822,7 +828,7 @@ NetStack::softirqRx(int qid)
 
         // NAPI budget: yield the core so application threads interleave.
         in_hold += frames;
-        if (in_hold >= cfg_.rxBudget) {
+        if (in_hold >= kRxBudget) {
             in_hold = 0;
             c.mutex().release();
             co_await delay(sim_, 0);
@@ -875,7 +881,7 @@ NetStack::softirqTx(int qid)
             comp.desc.completionSem->release();
         ++so_comps;
 
-        if (++in_hold >= cfg_.rxBudget) {
+        if (++in_hold >= kRxBudget) {
             in_hold = 0;
             c.mutex().release();
             co_await delay(sim_, 0);

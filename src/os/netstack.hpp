@@ -35,11 +35,6 @@ struct StackConfig
      *  backpressure, not loss, bounds the stream (back-to-back link). */
     std::uint64_t windowBytes = 480u << 10;
     bool tso = true;
-    /** NAPI poll budget per core-hold (packets). */
-    int rxBudget = 64;
-    /** Auto-install/update flow steering on consumer migration (ARFS /
-     *  IOctoRFS). */
-    bool autoSteer = true;
     /** Steering-rule expiry scan period (0 disables). A kernel worker
      *  periodically deletes rules for flows with no recent traffic
      *  (paper §4.2). */
@@ -53,10 +48,6 @@ struct StackConfig
      *  that view implies. */
     bool teamFailover = false;
 
-    /** Delay between the PF hot-unplug/re-probe event and the driver
-     *  acting on it (AER + hotplug handling latency). */
-    sim::Tick teamFailoverDelay = sim::fromMs(1);
-
     /** RTO-style retry worker period (0 disables): window credits held
      *  by frames lost in the device are reclaimed once a connection has
      *  been loss-quiet for this long, so in-flight descriptors on a
@@ -66,12 +57,6 @@ struct StackConfig
     /** Softirq watchdog: a lost interrupt's queue is polled after this
      *  delay (NAPI watchdog semantics), bounding IRQ-loss outages. */
     sim::Tick irqWatchdog = sim::fromUs(500);
-
-    /** Watchdog timeout on every blocking driver operation (steering
-     *  RPC drain, queue evacuation before a rebind). A stalled queue
-     *  can therefore delay a re-steer by at most this long — it can
-     *  never wedge the driver. */
-    sim::Tick steerWatchdog = sim::fromMs(5);
 };
 
 /**
@@ -226,7 +211,7 @@ class NetStack : public nic::NicSink, public steer::SteerablePlane
     /**
      * Re-steer queue @p qid's DMA behind PF @p pf_idx: issue the
      * firmware RPC, drain the in-flight completions of the old binding
-     * (bounded by the steerWatchdog), then rebind. A newer re-steer for
+     * (bounded by steer::kSteerWatchdog), then rebind. A newer re-steer for
      * the same queue supersedes an in-flight one (epoch check), so
      * verdict churn cannot interleave stale rebinds.
      */
@@ -241,12 +226,6 @@ class NetStack : public nic::NicSink, public steer::SteerablePlane
 
     /** Drop the placement rule; the flow falls back to RSS. */
     void unplaceFlow(const nic::FiveTuple& flow) override;
-
-    int
-    flowQueue(const nic::FiveTuple& flow) const override
-    {
-        return device_.classify(flow);
-    }
 
     bool queueDmaLocal(int qid) const override;
 

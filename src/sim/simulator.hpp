@@ -257,8 +257,7 @@ class Simulator
      * @p promise (nullable) lets teardown reclaim an abandoned parked
      * frame; @p settle(@p ctx) runs at the end of every runUntil/run
      * so the owner can charge skipped steps before outside reads.
-     * Returns an invalid handle, parking nothing, when no rank can be
-     * assigned; the caller must then step as usual.
+     * Never refuses: the returned handle is always valid.
      */
     GridPark parkOnGrid(std::coroutine_handle<> h,
                         detail::PromiseBase* promise, Tick period,
@@ -669,11 +668,12 @@ class Simulator
         std::uint64_t anchorBase;
         std::uint64_t key;
         Tick resumeAt;            ///< Ghost: the resumed step's tick.
+        std::uint32_t resumeSlot; ///< Ghost: its resume event's slot.
         std::uint32_t gen;
         std::uint32_t phase;      ///< Index into gridPhases_.
         std::uint8_t domain;
-        bool live;                ///< Parked.
-        bool ghost;               ///< Resumed; still ranks its tick.
+        bool live;                ///< Parked; else a ghost (resumed,
+                                  ///< still ranking its tick).
     };
 
     /** The members tracked on one grid phase (ticks congruent to
@@ -728,13 +728,6 @@ class Simulator
     std::size_t gridLogAt(Tick when) const;
     std::uint32_t gridPhaseAt(Tick offset);
     void gridReleasePhase(std::uint32_t ph);
-    /** A ghost whose tick is over: it ranks nothing any more. */
-    bool
-    gridStale(const GridMember& m) const
-    {
-        return m.ghost && m.resumeAt < now_;
-    }
-    void gridRetire(GridPhase& ph, std::size_t pos);
     void gridRetireStaleGhosts();
     std::uint64_t gridPlaceKey(GridPhase& ph, std::size_t& pos);
     void gridRenumber(GridPhase& ph);
@@ -789,10 +782,8 @@ class Simulator
 
     mutable std::vector<GridMember> gridMembers_;
     std::vector<std::uint32_t> gridFreeMembers_; ///< Reusable slots.
-    /// Ghosts in the order they resumed (their ticks nearly ascend),
-    /// from gridGhostHead_ on; a stale handle means already retired.
-    std::vector<GridPark> gridGhosts_;
-    std::size_t gridGhostHead_ = 0;
+    /// Ghosts as (resumeAt, member): a min-heap, their only way out.
+    std::vector<std::pair<Tick, std::uint32_t>> gridGhosts_;
     std::vector<GridPhase> gridPhases_;           ///< Stable indices.
     std::vector<std::uint32_t> gridFreePhases_;   ///< Empty phases.
     /// Phases in use, sorted by offset.

@@ -66,6 +66,11 @@ struct EndpointTelemetry
     int node = -1;
 };
 
+/** Watchdog on every blocking driver operation (steering drain, queue
+ *  evacuation before a rebind, probe): a stalled queue can delay a
+ *  re-steer by at most this long; it can never wedge the driver. */
+inline constexpr sim::Tick kSteerWatchdog = sim::fromMs(5);
+
 /**
  * A driver whose DMA paths the health monitor may re-steer.
  *
@@ -158,15 +163,6 @@ class SteerablePlane
 
     /** Remove a placeFlow() rule; the flow falls back to RSS. */
     virtual void unplaceFlow(const nic::FiveTuple& flow) { (void)flow; }
-
-    /** Queue @p flow's frames are classified to right now (-1 when
-     *  unknown). */
-    virtual int
-    flowQueue(const nic::FiveTuple& flow) const
-    {
-        (void)flow;
-        return -1;
-    }
 
     /** True when queue @p qid's DMA currently lands on the same NUMA
      *  node its buffers live on (the promote-target predicate). */
