@@ -1,7 +1,7 @@
 /**
  * @file
- * Lightweight statistics for the simulator: counters, accumulators, and
- * sample distributions with percentile queries.
+ * Lightweight statistics for the simulator: counters and sample
+ * distributions with percentile queries.
  */
 #pragma once
 
@@ -25,41 +25,6 @@ class Counter
     std::uint64_t value_ = 0;
 };
 
-/** Streaming min/max/mean accumulator. */
-class Accumulator
-{
-  public:
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        ++count_;
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-
-    void
-    reset()
-    {
-        sum_ = 0;
-        count_ = 0;
-        min_ = std::numeric_limits<double>::infinity();
-        max_ = -std::numeric_limits<double>::infinity();
-    }
-
-  private:
-    double sum_ = 0;
-    std::uint64_t count_ = 0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
-};
-
 /**
  * Sample distribution with percentile queries. Stores raw samples
  * (bounded by @p max_samples with uniform thinning) — experiment sample
@@ -76,7 +41,9 @@ class Distribution
     void
     sample(double v)
     {
-        acc_.sample(v);
+        sum_ += v;
+        min_ = std::min(min_, v);
+        max_ = std::max(max_, v);
         if (samples_.size() >= maxSamples_) {
             // Thin: keep every other sample, double the stride.
             std::vector<double> kept;
@@ -86,19 +53,18 @@ class Distribution
             samples_.swap(kept);
             stride_ *= 2;
         }
-        if (counter_++ % stride_ == 0)
+        if (count_++ % stride_ == 0)
             samples_.push_back(v);
     }
 
-    std::uint64_t count() const { return acc_.count(); }
+    std::uint64_t count() const { return count_; }
 
-    // Unlike Accumulator (whose empty mean/min/max are a harmless 0 for
-    // streaming counters), an empty distribution has no meaningful
-    // statistic: a silent 0 here has been mistaken for "zero latency".
-    // Empty queries return NaN so they poison downstream math visibly.
-    double mean() const { return count() ? acc_.mean() : nan(); }
-    double min() const { return count() ? acc_.min() : nan(); }
-    double max() const { return count() ? acc_.max() : nan(); }
+    // An empty distribution has no meaningful statistic: a silent 0
+    // here has been mistaken for "zero latency". Empty queries return
+    // NaN so they poison downstream math visibly.
+    double mean() const { return count_ ? sum_ / count_ : nan(); }
+    double min() const { return count_ ? min_ : nan(); }
+    double max() const { return count_ ? max_ : nan(); }
 
     /** @param p Percentile in [0, 100]; NaN when no samples exist. */
     double
@@ -119,10 +85,12 @@ class Distribution
     void
     reset()
     {
-        acc_.reset();
+        sum_ = 0;
+        count_ = 0;
+        min_ = std::numeric_limits<double>::infinity();
+        max_ = -std::numeric_limits<double>::infinity();
         samples_.clear();
         stride_ = 1;
-        counter_ = 0;
     }
 
   private:
@@ -132,11 +100,13 @@ class Distribution
         return std::numeric_limits<double>::quiet_NaN();
     }
 
-    Accumulator acc_;
+    double sum_ = 0;
+    std::uint64_t count_ = 0;
+    double min_ = std::numeric_limits<double>::infinity();
+    double max_ = -std::numeric_limits<double>::infinity();
     std::vector<double> samples_;
     std::size_t maxSamples_;
     std::uint64_t stride_ = 1;
-    std::uint64_t counter_ = 0;
 };
 
 /** Convert a byte count over a tick interval to Gb/s. */

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for counters, accumulators, distributions, and RNG.
+ * Unit tests for counters, distributions, and RNG.
  */
 #include <cmath>
 
@@ -21,23 +21,15 @@ TEST(Counter, AddsAndTotals)
     EXPECT_EQ(c.total(), 42u);
 }
 
-TEST(Accumulator, TracksMoments)
+TEST(Distribution, TracksMoments)
 {
-    Accumulator a;
+    Distribution d;
     for (double v : {1.0, 2.0, 3.0, 4.0})
-        a.sample(v);
-    EXPECT_EQ(a.count(), 4u);
-    EXPECT_DOUBLE_EQ(a.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(a.min(), 1.0);
-    EXPECT_DOUBLE_EQ(a.max(), 4.0);
-}
-
-TEST(Accumulator, EmptyIsZero)
-{
-    Accumulator a;
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(a.min(), 0.0);
-    EXPECT_DOUBLE_EQ(a.max(), 0.0);
+        d.sample(v);
+    EXPECT_EQ(d.count(), 4u);
+    EXPECT_DOUBLE_EQ(d.mean(), 2.5);
+    EXPECT_DOUBLE_EQ(d.min(), 1.0);
+    EXPECT_DOUBLE_EQ(d.max(), 4.0);
 }
 
 TEST(Distribution, PercentilesOnUniformRamp)
